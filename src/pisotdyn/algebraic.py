@@ -187,15 +187,18 @@ class IntPolynomial:
         """z^deg * p(1/z): reversed coefficients."""
         return IntPolynomial(tuple(reversed(self.coefficients)))
 
+    def repeated_part(self) -> "IntPolynomial":
+        """gcd(p, p'), whose roots are the repeated roots of p."""
+        return _from_frac_poly(_pgcd(self._frac(), _pderiv(self._frac())))
+
     def is_squarefree(self) -> bool:
-        g = _pgcd(self._frac(), _pderiv(self._frac()))
-        return _pdeg(g) == 0
+        return self.repeated_part().degree == 0
 
     def squarefree_part(self) -> "IntPolynomial":
-        g = _pgcd(self._frac(), _pderiv(self._frac()))
-        if _pdeg(g) == 0:
+        g = self.repeated_part()
+        if g.degree == 0:
             return self
-        q, _ = _pdivmod(self._frac(), g)
+        q, _ = _pdivmod(self._frac(), g._frac())
         return _from_frac_poly(q)
 
     def _frac(self):
@@ -348,7 +351,8 @@ class RootCount:
 
 def _strip_root(c, r: Fraction):
     q, rem = _pdivmod(c, (-r, Fraction(1)))
-    assert rem == (Fraction(0),) or rem == (0,)
+    if rem != (Fraction(0),):
+        raise ArithmeticError(f"{r} is not a root")
     return q
 
 
@@ -358,7 +362,8 @@ def _palindromic_to_chebyshev(c):
     Uses u_k(x) = z^k + z^-k with u_0 = 2, u_1 = x, u_k = x*u_{k-1} - u_{k-2}.
     """
     m = _pdeg(c) // 2
-    assert _pdeg(c) == 2 * m and list(c) == list(reversed(c))
+    if _pdeg(c) != 2 * m or list(c) != list(reversed(c)):
+        raise ArithmeticError("not a palindromic polynomial of even degree")
     u_prev = (Fraction(2),)
     u = (Fraction(0), Fraction(1))
     e = _pscale((Fraction(1),), c[m])
@@ -392,7 +397,8 @@ def _count_lhp(q):
     else:
         diff = -_cauchy_index(p_part, r_part)
     # diff = n_lhp - n_rhp
-    assert (n + diff) % 2 == 0, "parity failure in Cauchy index"
+    if (n + diff) % 2:
+        raise ArithmeticError("parity failure in Cauchy index")
     return (n + diff) // 2
 
 
@@ -412,7 +418,8 @@ def _count_inside_no_circle(p):
         for _ in range(n - k):
             term = _pmul(term, one_minus)
         q = _padd(q, term)
-    assert _pdeg(q) == n, "degree drop: root at z = -1 on the circle"
+    if _pdeg(q) != n:
+        raise ArithmeticError("degree drop: root at z = -1 on the circle")
     return _count_lhp(q)
 
 
@@ -435,7 +442,8 @@ def schur_cohn(p: IntPolynomial) -> RootCount:
     # closed under inversion, so d is +-palindromic); all circle roots live here
     d = _pgcd(c, tuple(reversed(c)))
     q, rem = _pdivmod(c, d)
-    assert rem == (Fraction(0),) or rem == (0,)
+    if rem != (Fraction(0),):
+        raise ArithmeticError("gcd does not divide the polynomial")
     on = 0
     d_deg = _pdeg(d)
     if d_deg > 0:
@@ -459,7 +467,7 @@ def schur_cohn(p: IntPolynomial) -> RootCount:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q (exact through degree 4, modular certificate beyond)
+# irreducibility over Q (exact through degree 3, Kronecker beyond)
 
 def _rational_roots(p: IntPolynomial):
     a0, lead = p.coefficients[0], p.coefficients[-1]
@@ -483,166 +491,27 @@ def _rational_roots(p: IntPolynomial):
                     yield r
 
 
-def _is_square(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _irreducible_deg4_monic(p: IntPolynomial) -> bool:
-    # no rational roots already checked; test integer quadratic factorizations
-    _, c1, c2, c3, _ = (p.coefficients + (0,) * 5)[:5]
-    c0 = p.coefficients[0]
-    def divisor_pairs(n):
-        out = []
-        i = 1
-        while i * i <= abs(n):
-            if n % i == 0:
-                for b in (i, -i):
-                    out.append((b, n // b))
-            i += 1
-        if n == 0:
-            out.append((0, 0))
-        return out
-    for b, d in divisor_pairs(c0):
-        # (x^2 + a x + b)(x^2 + c x + d)
-        s = c3            # a + c
-        prod_ac = c2 - b - d
-        disc = _is_square(s * s - 4 * prod_ac)
-        if disc is None:
-            continue
-        for a2 in ((s + disc), (s - disc)):
-            if a2 % 2:
-                continue
-            a = a2 // 2
-            cc = s - a
-            if a * d + b * cc == c1:
-                return False
-    return True
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-
-
-def _mod_poly(c, p):
-    c = [x % p for x in c]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _mod_mul(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce mod f (monic mod p)
-    df = len(f) - 1
-    while len(out) - 1 >= df:
-        k = len(out) - 1 - df
-        c = out[-1]
-        if c:
-            for i in range(df + 1):
-                out[k + i] = (out[k + i] - c * f[i]) % p
-        out.pop()
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _mod_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b != [0]:
-        # remainder of a by b mod p
-        b_lead_inv = pow(b[-1], -1, p)
-        r = a[:]
-        while len(r) >= len(b) and r != [0]:
-            k = len(r) - len(b)
-            c = (r[-1] * b_lead_inv) % p
-            for i in range(len(b)):
-                r[k + i] = (r[k + i] - c * b[i]) % p
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-        a, b = b, r
-    return a
-
-
-def _irreducible_mod_p(poly: IntPolynomial, p: int) -> Optional[bool]:
-    f = _mod_poly(list(poly.coefficients), p)
-    n = len(f) - 1
-    if n < 1 or f[-1] == 0:
-        return None
-    inv = pow(f[-1], -1, p)
-    f = [(x * inv) % p for x in f]
-    # squarefree mod p required for the distinct-degree test
-    fd = [(i * f[i]) % p for i in range(1, len(f))]
-    while len(fd) > 1 and fd[-1] == 0:
-        fd.pop()
-    if fd == [0] or len(_mod_gcd(f, fd, p)) > 1:
-        return None
-    x = [0, 1] if n > 1 else [0]
-    # f irreducible iff x^(p^n) == x mod f and gcd(x^(p^(n/q)) - x, f) = 1
-    def frob_power(k):
-        acc = x[:]
-        for _ in range(k):
-            acc = _mod_pow(acc, p, f, p)
-        return acc
-    xq = frob_power(n)
-    if _mod_poly([a - b for a, b in zip(xq + [0] * 2, x + [0] * 2)], p) != [0]:
-        return False
-    for q in set(_prime_factors(n)):
-        xr = frob_power(n // q)
-        diff = _mod_poly(
-            [a - b for a, b in zip(xr + [0] * len(x), x + [0] * len(xr))], p
-        )
-        if len(_mod_gcd(f, diff, p)) > 1:
-            return False
-    return True
-
-
-def _mod_pow(base, e, f, p):
-    result = [1]
-    b = base[:]
-    while e:
-        if e & 1:
-            result = _mod_mul(result, b, f, p)
-        b = _mod_mul(b, b, f, p)
-        e >>= 1
-    return result
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def irreducible_over_q(p: IntPolynomial) -> Optional[bool]:
-    """True/False when decided; None when unknown (degree >= 5 heuristics)."""
+    """True/False when decided; None above degree 3 when the root layout
+    does not decide it.
+
+    Kronecker: a monic integer polynomial with p(0) != 0, exactly one root
+    outside the closed unit disk and none on the circle is irreducible.  Any
+    other factor would have all its roots strictly inside the disk, so a
+    nonzero integer constant term of modulus below 1.
+    """
     n = p.degree
     if n <= 1:
         return n == 1
-    if p.coefficients[0] == 0:
+    if p.coefficients[0] == 0 or not p.is_squarefree():
         return False
     for _ in _rational_roots(p):
         return False
     if n <= 3:
         return True
-    if n == 4 and p.is_monic:
-        return _irreducible_deg4_monic(p)
-    for q in _SMALL_PRIMES:
-        if _irreducible_mod_p(p, q):
+    if p.is_monic:
+        counts = schur_cohn(p)
+        if counts.outside == 1 and counts.on_circle == 0:
             return True
     return None
 
@@ -720,26 +589,50 @@ def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox
 
 
 def pv_verdict(p: IntPolynomial) -> str:
-    """'pv', 'not_pv' or 'conditional' (root layout right, irreducibility open)."""
+    """'pv' or 'not_pv', decided by the root layout alone.
+
+    p is PV when p(0) != 0, exactly one root lies outside the closed unit
+    disk, none on the circle, and that root is real in (1, cauchy bound].
+    Irreducibility then follows (Kronecker, see irreducible_over_q).
+    """
     if not p.is_monic:
         raise ValueError("PV certification requires a monic polynomial")
-    if p.degree == 0:
-        return "not_pv"
-    if not p.is_squarefree():
+    if p.degree == 0 or p.coefficients[0] == 0 or not p.is_squarefree():
         return "not_pv"
     counts = schur_cohn(p)
     if counts.outside != 1 or counts.on_circle != 0:
         return "not_pv"
     if sturm_count(p.coefficients, Fraction(1), p.cauchy_bound()) != 1:
         return "not_pv"
-    irr = irreducible_over_q(p)
-    if irr is False:
-        return "not_pv"
-    return "pv" if irr else "conditional"
+    return "pv"
 
 
 def is_pv(p: IntPolynomial) -> bool:
     return pv_verdict(p) == "pv"
+
+
+def conjugate_modulus_bound(p: IntPolynomial, bits: int = 40) -> Fraction:
+    """Dyadic upper bound, within 2^-bits, on the largest modulus among the
+    roots of p other than its one root outside the unit disk.
+
+    Requires squarefree p with one root outside the closed unit disk and
+    none on the circle.  Bisects r over [0, 1]: at r = a/b the exact root
+    count of b^d p(a z / b) has one root outside exactly when every other
+    root of p has modulus <= r.
+    """
+    d = p.degree
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(bits):
+        r = (lo + hi) / 2
+        a, b = r.numerator, r.denominator
+        scaled = IntPolynomial(
+            tuple(c * a**i * b ** (d - i) for i, c in enumerate(p.coefficients))
+        )
+        if schur_cohn(scaled).outside == 1:
+            hi = r
+        else:
+            lo = r
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +661,8 @@ def pv_decay(p: IntPolynomial, n: int, precision_bits: Optional[int] = None) -> 
     """Certified interval for |s_n - lambda^n|, the distance of lambda^n from
     the nearest power-sum integer; for PV numbers this decays to zero.
     """
-    if pv_verdict(p) == "not_pv":
-        raise ValueError("pv_decay requires a (conditionally) PV polynomial")
+    if not is_pv(p):
+        raise ValueError("pv_decay requires a PV polynomial")
     if precision_bits is None:
         lam_rough = float(dominant_root_interval(p, Fraction(1, 10**6)))
         precision_bits = int(2 * n * max(1.0, math.log2(lam_rough))) + 64

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebraic import IntPolynomial, dominant_root_interval, pv_verdict, refine_root
+from .algebraic import IntPolynomial, dominant_root_interval, is_pv, refine_root
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
 TWO_PI = 2.0 * math.pi
@@ -240,7 +240,7 @@ def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> Angle
     lambda^k is evaluated in exact interval arithmetic refined until the
     fractional part is determined to the requested precision.
     """
-    if pv_verdict(p) == "not_pv":
+    if not is_pv(p):
         raise ValueError("cusp_curve requires a PV polynomial")
     if big_k < 1:
         raise ValueError("K must be >= 1")
@@ -273,7 +273,7 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
     """
     if sigma.alphabet.size != 2:
         raise ValueError("substitution spacing needs a binary alphabet")
-    report = classify_pisot(sigma, mode="loose")
+    report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
     if not (0.0 <= beta0 < TWO_PI and 0.0 <= beta1 < TWO_PI):

@@ -171,7 +171,9 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     Twister via random.Random)."""
     if sigma.alphabet.size != 2:
         raise ValueError("binary substitution required")
-    report = classify_pisot(sigma, mode="loose")
+    if n_steps < 1:
+        raise ValueError("N must be >= 1")
+    report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
     m = incidence_matrix(sigma)

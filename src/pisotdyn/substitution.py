@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -14,10 +15,10 @@ from .algebraic import (
     RealApprox,
     RootCount,
     char_poly,
+    conjugate_modulus_bound,
     dominant_root_interval,
     irreducible_over_q,
     is_primitive,
-    refine_root,
     schur_cohn,
     sturm_count,
 )
@@ -184,12 +185,21 @@ class PisotReport:
     primitive: bool
     char_poly: IntPolynomial
     leading_eigenvalue: RealApprox
-    conjugate_moduli_bound: RealApprox
     root_counts: RootCount
     irreducible: Optional[bool]
     pisot_loose: bool
     pisot_strict: bool
     frequencies: tuple  # per-letter floats summing to ~1 (empty if not primitive)
+
+    @cached_property
+    def conjugate_moduli_bound(self) -> RealApprox:
+        """[0, b] with b a certified dyadic upper bound on the moduli of the
+        conjugates of the leading eigenvalue; [0, 1] when not Pisot type.
+        Computed on first read."""
+        if not self.pisot_loose:
+            return RealApprox(Fraction(0), Fraction(1))
+        sf = self.char_poly.squarefree_part()
+        return RealApprox(Fraction(0), conjugate_modulus_bound(sf))
 
     def to_dict(self) -> dict:
         return {
@@ -228,32 +238,14 @@ def perron_frequencies(m: IntMatrix, tol: float = 1e-14, n_max: int = 10000) -> 
     return tuple(v)
 
 
-def _conjugate_bound(p: IntPolynomial, lam: RealApprox) -> RealApprox:
-    """Upper bound on the conjugate moduli: (|p(0)| / lambda_lower)^(1/(d-1))
-    would need care; use the simple bound from |prod conj| = |a0|/lambda and
-    the fact all conjugates lie inside the unit circle -> report the
-    geometric-mean bound capped at 1."""
-    d = p.degree
-    if d <= 1:
-        return RealApprox(Fraction(0), Fraction(0))
-    a0 = abs(p.coefficients[0])
-    if a0 == 0 or lam.lower <= 0:
-        return RealApprox(Fraction(0), Fraction(1))
-    prod = Fraction(a0) / lam.lower  # product of conjugate moduli, upper bound
-    val = min(1.0, float(prod) ** (1.0 / (d - 1)))
-    fr = Fraction(val).limit_denominator(10**12)
-    return RealApprox(Fraction(0), max(fr, Fraction(0)))
-
-
-def classify_pisot(sigma: Substitution, mode: str = "strict") -> PisotReport:
+def classify_pisot(sigma: Substitution) -> PisotReport:
     """Pisot-type classification of sigma's incidence matrix.
 
-    Loose mode follows the literal eigenvalue layout (one simple real
-    eigenvalue > 1, all others of modulus < 1); strict mode additionally
-    requires the characteristic polynomial irreducible over Q.
+    pisot_loose is the literal eigenvalue layout: one simple real eigenvalue
+    > 1, all others of modulus < 1.  pisot_strict additionally requires the
+    characteristic polynomial irreducible over Q, which for a loose report
+    Kronecker's theorem decides (it holds exactly when p(0) != 0).
     """
-    if mode not in ("loose", "strict"):
-        raise ValueError("mode must be 'loose' or 'strict'")
     m = incidence_matrix(sigma)
     p = char_poly(m)
     primitive = is_primitive(m)
@@ -263,30 +255,22 @@ def classify_pisot(sigma: Substitution, mode: str = "strict") -> PisotReport:
     loose = False
     lam = RealApprox(Fraction(0), Fraction(0))
     if counts.outside == 1 and counts.on_circle == 0:
-        # verify the outside root is real, simple and > 1
-        if sturm_count(p.coefficients, Fraction(1), p.cauchy_bound()) == 1:
-            # simple: must not be a repeated root of the full char poly
-            if p.is_squarefree() or sturm_count(
-                sf.coefficients, Fraction(1), sf.cauchy_bound()
-            ) == 1:
-                loose = True
-                lam = dominant_root_interval(sf)
+        # the outside root must be real and > 1, and simple: not a root of gcd(p, p')
+        lo, hi = Fraction(1), p.cauchy_bound()
+        if (sturm_count(p.coefficients, lo, hi) == 1
+                and sturm_count(p.repeated_part().coefficients, lo, hi) == 0):
+            loose = True
+            lam = dominant_root_interval(sf)
     irr = irreducible_over_q(p)
-    # reducible polynomials can still be loose-Pisot (Thue-Morse); but any
-    # repeated factor other than the Perron root is fine only if its roots
-    # stay inside the disk — squarefree_part covered that above.
-    strict = bool(loose and irr)
     freqs = perron_frequencies(m) if primitive else ()
-    bound = _conjugate_bound(sf, lam) if loose else RealApprox(Fraction(0), Fraction(1))
     return PisotReport(
         primitive=primitive,
         char_poly=p,
         leading_eigenvalue=lam,
-        conjugate_moduli_bound=bound,
         root_counts=counts,
         irreducible=irr,
         pisot_loose=loose,
-        pisot_strict=strict,
+        pisot_strict=loose and irr is True,
         frequencies=freqs,
     )
 

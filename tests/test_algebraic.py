@@ -1,6 +1,9 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from pisotdyn.algebraic import (
     RealApprox,
     Recurrence,
     char_poly,
+    conjugate_modulus_bound,
     dominant_root_interval,
     irreducible_over_q,
     is_primitive,
@@ -157,14 +161,26 @@ class TestIrreducibility:
         assert irreducible_over_q(IntPolynomial((0, -1, 0, 1))) is False
 
     def test_quartic_product_of_quadratics(self):
+        # above degree 3 only the root layout decides; these two have no
+        # root outside the unit disk, so it does not:
         # (x^2+1)(x^2+2) = x^4 + 3x^2 + 2, no rational roots
-        assert irreducible_over_q(IntPolynomial((2, 0, 3, 0, 1))) is False
-        # x^4 + 1 is irreducible over Q
-        assert irreducible_over_q(IntPolynomial((1, 0, 0, 0, 1))) is True
+        assert irreducible_over_q(IntPolynomial((2, 0, 3, 0, 1))) is None
+        # x^4 + 1, irreducible over Q, all roots on the circle
+        assert irreducible_over_q(IntPolynomial((1, 0, 0, 0, 1))) is None
 
-    def test_degree5_modular(self):
-        # x^5 - x - 1 is irreducible (mod certificate should find it)
-        assert irreducible_over_q(IntPolynomial((-1, -1, 0, 0, 0, 1))) is True
+    def test_degree5_undecided(self):
+        # x^5 - x - 1 is irreducible, but two of its roots lie outside the
+        # unit disk, so Kronecker does not apply
+        assert irreducible_over_q(IntPolynomial((-1, -1, 0, 0, 0, 1))) is None
+
+    def test_kronecker(self):
+        # one root outside the closed disk, none on it, p(0) != 0
+        assert irreducible_over_q(IntPolynomial((-1, 0, 0, -1, 1))) is True
+        assert irreducible_over_q(IntPolynomial((4, 0, -2, -4, 1))) is True
+        assert irreducible_over_q(IntPolynomial((-1, -1, 0, 0, 0, 0, 1))) is None
+        assert irreducible_over_q(IntPolynomial((1, -4, -2, 0, 1))) is None
+        # (x^2 - x - 1)^2: not squarefree
+        assert irreducible_over_q(IntPolynomial((1, 2, -1, -2, 1))) is False
 
 
 class TestPV:
@@ -188,6 +204,76 @@ class TestPV:
     def test_non_monic(self):
         with pytest.raises(ValueError):
             pv_verdict(IntPolynomial((-1, 2)))
+
+
+def _roots(p: IntPolynomial):
+    return mpmath.polyroots(
+        [mpmath.mpf(c) for c in reversed(p.coefficients)], maxsteps=200, extraprec=200
+    )
+
+
+def _has_proper_factor(p: IntPolynomial) -> bool:
+    """Oracle for monic p: some proper subset of its roots has integral
+    elementary symmetric functions, i.e. p has a monic integer factor."""
+    tol = mpmath.mpf("1e-25")
+    with mpmath.workdps(50):
+        roots = _roots(p)
+        for k in range(1, len(roots) // 2 + 1):
+            for subset in itertools.combinations(roots, k):
+                coeffs = [mpmath.mpc(1)]
+                for r in subset:
+                    coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+                if all(abs(c.imag) < tol and abs(c.real - mpmath.nint(c.real)) < tol
+                       for c in coeffs):
+                    return True
+    return False
+
+
+def _max_conjugate_modulus(p: IntPolynomial):
+    with mpmath.workdps(50):
+        return sorted(abs(r) for r in _roots(p))[-2]
+
+
+def _random_monic(count: int, seed: int = 1):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, 7)
+        yield IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(d)) + (1,))
+
+
+# PV polynomials that once got the verdict "conditional" (found in a seed-1
+# sweep of 20,000 random monic polynomials), and x^4 - 4x^3 - 2x^2 + 4,
+# whose conjugate bound once read 0.968, below the true modulus 0.998
+KNOWN_PV = [
+    IntPolynomial(c) for c in (
+        (-3, 2, 1, 1, -4, 1), (-2, 2, 1, -1, -4, 1), (2, 1, 0, 0, -1, -4, 1),
+        (-2, 1, 0, -4, -5, 1), (1, -1, 0, -3, 3, -5, 1), (-4, -2, 1, -2, -5, 1),
+        (2, -1, 1, -3, -1, -4, 1), (1, -1, -2, -4, -4, 1), (4, 0, -2, -4, 1),
+    )
+]
+
+
+class TestKronecker:
+    def test_oracle_sees_factors(self):
+        assert _has_proper_factor(IntPolynomial((2, 0, 3, 0, 1)))
+        assert _has_proper_factor(IntPolynomial((0, -2, 1)))
+        assert not _has_proper_factor(IntPolynomial((4, 0, -2, -4, 1)))
+
+    def test_sweep_verdicts_and_bounds(self):
+        accepted = KNOWN_PV[:]
+        for p in _random_monic(1000):
+            verdict = pv_verdict(p)
+            assert verdict in ("pv", "not_pv")
+            if verdict == "pv":
+                accepted.append(p)
+        assert len(accepted) == len(KNOWN_PV) + 62
+        for p in accepted:
+            assert is_pv(p)
+            assert not _has_proper_factor(p), p
+            bound = conjugate_modulus_bound(p)
+            assert bound.denominator <= 2**40 and float(bound) == bound
+            true_max = _max_conjugate_modulus(p)
+            assert true_max <= float(bound) <= true_max + mpmath.mpf(2) ** -40, p
 
 
 class TestPowerSums:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisotdyn.cli import main
 
@@ -182,3 +184,57 @@ class TestDeterminism:
             a = runner.invoke(main, args)
             b = runner.invoke(main, args)
             assert a.exit_code == 0 and a.output == b.output
+
+
+# bad input ends in one closing `Error:` line and exit code 1 or 2
+MALFORMED = [
+    ["spacing", "roots", "-n", "1"],
+    ["hiller", "0"],
+    ["entropy", "--word", "0101", "--n-max", "0"],
+    ["cantor", "represent", "--q", "3/2"],
+    ["cantor", "dim", "--alphabet-size", "1"],
+    ["subst", "{fib}", "iterate", "-k", "0"],
+    ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "0", "--format", "json"],
+]
+
+
+def assert_clean_error(r):
+    assert isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code in (1, 2)
+    lines = [line for line in r.stderr.splitlines() if line.strip()]
+    assert lines and lines[-1].startswith("Error:")
+    assert sum(line.startswith("Error:") for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
+def test_malformed_call_ends_in_one_error_line(runner, fib_path, argv):
+    r = runner.invoke(main, [a.format(fib=fib_path) for a in argv])
+    assert_clean_error(r)
+
+
+@pytest.fixture(scope="module")
+def fib_spec(tmp_path_factory):
+    p = tmp_path_factory.mktemp("spec") / "fibonacci.json"
+    p.write_text(FIB_SPEC)
+    return str(p)
+
+
+SMALL_INT_CALLS = [
+    ["hiller", "--", "{n}"],
+    ["spacing", "roots", "-n", "{n}"],
+    ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "{n}", "--format", "json"],
+    ["cantor", "dim", "--alphabet-size", "{n}"],
+    ["cantor", "represent", "--q", "1/3", "--alphabet-size", "{n}"],
+    ["cantor", "represent", "--q", "1/3", "--digits", "{n}"],
+    ["entropy", "--word", "0100101001", "--n-max", "{n}"],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SMALL_INT_CALLS), st.integers(-3, 12))
+def test_small_integers_never_escape(fib_spec, argv, n):
+    r = CliRunner().invoke(main, [a.format(fib=fib_spec, n=n) for a in argv])
+    if r.exit_code == 0:
+        assert r.exception is None
+    else:
+        assert_clean_error(r)

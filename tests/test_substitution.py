@@ -141,10 +141,22 @@ class TestClassify:
         assert abs(rep.frequencies[0] - 0.6180339887) < 1e-9
 
     def test_thue_morse_loose_only(self):
-        rep = classify_pisot(THUE_MORSE, mode="loose")
+        rep = classify_pisot(THUE_MORSE)
         assert rep.pisot_loose and not rep.pisot_strict
         assert rep.irreducible is False
         assert rep.char_poly.coefficients == (0, -2, 1)
+        # the conjugate eigenvalue is 0
+        assert rep.conjugate_moduli_bound.upper < 1e-9
+
+    def test_repeated_perron_root_not_pisot(self):
+        # two Fibonacci blocks: char poly (x^2 - x - 1)^2, lambda is double
+        sigma = Substitution.from_rules(
+            Alphabet(("0", "1", "2", "3")), {"0": "01", "1": "0", "2": "23", "3": "2"}
+        )
+        rep = classify_pisot(sigma)
+        assert rep.char_poly.coefficients == (1, 2, -1, -2, 1)
+        assert rep.pisot_loose is False and rep.pisot_strict is False
+        assert rep.irreducible is False
 
     def test_padovan_strict(self):
         rep = classify_pisot(PADOVAN_SUBST)
