@@ -611,8 +611,8 @@ def is_pv(p: IntPolynomial) -> bool:
     return pv_verdict(p) == "pv"
 
 
-def conjugate_modulus_bound(p: IntPolynomial, bits: int = 40) -> Fraction:
-    """Dyadic upper bound, within 2^-bits, on the largest modulus among the
+def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
+    """Dyadic upper bound, within 2^-40, on the largest modulus among the
     roots of p other than its one root outside the unit disk.
 
     Requires squarefree p with one root outside the closed unit disk and
@@ -622,7 +622,7 @@ def conjugate_modulus_bound(p: IntPolynomial, bits: int = 40) -> Fraction:
     """
     d = p.degree
     lo, hi = Fraction(0), Fraction(1)
-    for _ in range(bits):
+    for _ in range(40):
         r = (lo + hi) / 2
         a, b = r.numerator, r.denominator
         scaled = IntPolynomial(
