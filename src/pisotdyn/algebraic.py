@@ -548,6 +548,67 @@ class RealApprox:
         return self.lower <= other.upper and other.lower <= self.upper
 
 
+class RootBracket:
+    """A real root of p bracketed as [lo/den, hi/den], den = base * 2^shift.
+
+    The one bisection kernel: the ends stay integers over a common
+    denominator, and every sign test is an integer Horner evaluation of
+    den^d * p(u/den), so no Fraction arithmetic runs while refining.
+    RealApprox is its public face.
+    """
+
+    def __init__(self, p: IntPolynomial, lower: Fraction, upper: Fraction):
+        self._coefficients = p.coefficients
+        self._reset(Fraction(lower), Fraction(upper))
+
+    def _reset(self, lower: Fraction, upper: Fraction):
+        base = math.lcm(lower.denominator, upper.denominator)
+        self.lo = lower.numerator * (base // lower.denominator)
+        self.hi = upper.numerator * (base // upper.denominator)
+        self._base, self._shift = base, 0
+        d = len(self._coefficients) - 1
+        # c_i * base^(d-i): the Horner terms up to their power-of-two factor
+        self._scaled = [c * base ** (d - i) for i, c in enumerate(self._coefficients)]
+        self._sign_lo = self._sign_at(self.lo, 0)
+
+    @property
+    def den(self) -> int:
+        return self._base << self._shift
+
+    def _sign_at(self, u: int, shift: int) -> int:
+        """Sign of p(u / (base * 2^shift))."""
+        c = self._scaled
+        d = len(c) - 1
+        acc = c[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * u + (c[i] << (shift * (d - i)))
+        return _sign(acc)
+
+    def bisect(self, width: Fraction) -> None:
+        """Halve until hi - lo <= width, keeping the half on which p's sign
+        differs from its sign at lo.  An exact root at a midpoint m ends the
+        refinement at [m - width/4, m + width/4]."""
+        width = Fraction(width)
+        wn, wd = width.numerator, width.denominator
+        lo, hi, shift = self.lo, self.hi, self._shift
+        while (hi - lo) * wd > (wn * self._base) << shift:
+            mid, shift = lo + hi, shift + 1
+            s = self._sign_at(mid, shift)
+            if s == 0:
+                m = Fraction(mid, self._base << shift)
+                self._reset(m - width / 4, m + width / 4)
+                return
+            if s == self._sign_lo:
+                lo, hi = mid, hi << 1
+            else:
+                lo, hi = lo << 1, mid
+        self.lo, self.hi, self._shift = lo, hi, shift
+
+    def approx(self) -> RealApprox:
+        den = self.den
+        return RealApprox(Fraction(self.lo, den), Fraction(self.hi, den))
+
+
 def dominant_root_interval(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)) -> RealApprox:
     """Isolating interval for the unique real root of p in (1, cauchy_bound].
 
@@ -556,36 +617,17 @@ def dominant_root_interval(p: IntPolynomial, width: Fraction = Fraction(1, 10**1
     lo, hi = Fraction(1), p.cauchy_bound()
     if sturm_count(p.coefficients, lo, hi) != 1:
         raise ValueError("no unique dominant real root in (1, cauchy bound]")
-    s_lo = _sign(p(lo))
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign(p(mid))
-        if s_mid == 0:
-            eps = width / 4
-            return RealApprox(mid - eps, mid + eps)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return RealApprox(lo, hi)
+    root = RootBracket(p, lo, hi)
+    root.bisect(width)
+    return root.approx()
 
 
 def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox:
-    lo, hi = iv.lower, iv.upper
-    s_lo = _sign(p(lo))
-    if s_lo == 0:
-        return RealApprox(lo, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign(p(mid))
-        if s_mid == 0:
-            eps = width / 4
-            return RealApprox(max(lo, mid - eps), min(hi, mid + eps))
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return RealApprox(lo, hi)
+    if p(iv.lower) == 0:
+        return RealApprox(iv.lower, iv.lower)
+    root = RootBracket(p, iv.lower, iv.upper)
+    root.bisect(width)
+    return root.approx()
 
 
 def pv_verdict(p: IntPolynomial) -> str:
@@ -657,26 +699,48 @@ def power_sums(p: IntPolynomial, n: int) -> int:
     return s[n]
 
 
-def pv_decay(p: IntPolynomial, n: int, precision_bits: Optional[int] = None) -> RealApprox:
+def _pow_rounded(x: int, n: int, bits: int, up: bool) -> int:
+    """n-th power of the fixed-point number x / 2^bits >= 0, kept at `bits`
+    fractional bits by square and multiply, each product rounded down (or
+    up, when `up`) so the result bounds the exact power from that side."""
+    def mul(a, b):
+        prod = a * b
+        return -(-prod >> bits) if up else prod >> bits
+
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
+def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
     """Certified interval for |s_n - lambda^n|, the distance of lambda^n from
     the nearest power-sum integer; for PV numbers this decays to zero.
+
+    The interval is at most 2^-(2n max(1, log2 lambda) + 64) wide.  lambda is
+    bisected once to P bits, enough for n powers, and lambda^n is bounded by
+    outward-rounded powers of its P-bit ends.
     """
     if not is_pv(p):
         raise ValueError("pv_decay requires a PV polynomial")
-    if precision_bits is None:
-        lam_rough = float(dominant_root_interval(p, Fraction(1, 10**6)))
-        precision_bits = int(2 * n * max(1.0, math.log2(lam_rough))) + 64
-    target = Fraction(1, 2**precision_bits)
-    iv = dominant_root_interval(p)
-    while True:
-        lo_n, hi_n = iv.lower**n, iv.upper**n
-        if hi_n - lo_n <= target:
-            break
-        iv = refine_root(p, iv, iv.width / 4)
     s = power_sums(p, n)
-    a, b = s - hi_n, s - lo_n  # s_n - lambda^n
-    lo_abs = Fraction(0) if a <= 0 <= b else min(abs(a), abs(b))
-    return RealApprox(lo_abs, max(abs(a), abs(b)))
+    iv = dominant_root_interval(p)
+    lam = float(iv.upper)
+    precision = int(2 * n * max(1.0, math.log2(lam))) + 64
+    bits = precision + math.ceil(n * math.log2(lam + 1)) + 64
+    root = RootBracket(p, iv.lower, iv.upper)
+    root.bisect(Fraction(1, 1 << bits))
+    lo = (root.lo << bits) // root.den
+    hi = -(-(root.hi << bits) // root.den)
+    lo_n = _pow_rounded(lo, n, bits, up=False)
+    hi_n = _pow_rounded(hi, n, bits, up=True)
+    if (hi_n - lo_n) << precision > 1 << bits:
+        raise ArithmeticError("pv_decay interval wider than its precision")
+    a, b = (s << bits) - hi_n, (s << bits) - lo_n  # 2^bits (s_n - lambda^n)
+    lo_abs = 0 if a <= 0 <= b else min(abs(a), abs(b))
+    return RealApprox(Fraction(lo_abs, 1 << bits), Fraction(max(abs(a), abs(b)), 1 << bits))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ def representation(alphabet: Alphabet, q: Fraction, digits: int) -> Word:
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise ValueError("q must lie in [0, 1]")
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
     b = alphabet.size
     out = []
     rem = q
@@ -199,7 +201,7 @@ def hausdorff_dimension(spec: CantorSpec) -> float:
     return math.log(size - 1) / math.log(size)
 
 
-def cantor_function_value(spec: CantorSpec, prefix: Word, digits: int = 0) -> Fraction:
+def cantor_function_value(spec: CantorSpec, prefix: Word) -> Fraction:
     """f_{A,a}(w) = v_B(w) + |B| / |B|^(|w|+1) for a finite B-word w."""
     if not spec.interior:
         raise ValueError("excluded letter must be interior: 0 < lex(a) < |A|-1")

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .algebraic import IntPolynomial, dominant_root_interval, is_pv, refine_root
+from .algebraic import IntPolynomial, RootBracket, dominant_root_interval, is_pv
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
 TWO_PI = 2.0 * math.pi
@@ -96,6 +94,8 @@ def roots_of_unity(n: int) -> AngleList:
 
 def cyclotomic_sum(n: int) -> complex:
     """Vector sum of the n-th roots of unity (numerically ~ 0)."""
+    import numpy as np  # numpy's only user: keep it out of CLI start-up
+
     if n < 2:
         raise ValueError("n must be >= 2")
     k = np.arange(1, n + 1)
@@ -244,18 +244,22 @@ def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> Angle
         raise ValueError("cusp_curve requires a PV polynomial")
     if big_k < 1:
         raise ValueError("K must be >= 1")
+    if precision_bits < 0:
+        raise ValueError("precision bits must be >= 0")
     iv = dominant_root_interval(p)
+    root = RootBracket(p, iv.lower, iv.upper)
     out = []
-    target = Fraction(1, 2**precision_bits)
+    # lambda^k lies in [lo_k/den_k, hi_k/den_k]: running products of the
+    # bracket's ends, recomputed only when the bracket is refined
+    lo_k = hi_k = den_k = 1
     for k in range(1, big_k + 1):
-        while True:
-            lo, hi = iv.lower**k, iv.upper**k
-            if hi - lo <= target and math.floor(lo) == math.floor(hi):
-                break
-            iv = refine_root(p, iv, iv.width / 4)
-        frac = (lo + hi) / 2 - math.floor(lo)
-        theta = (TWO_PI * float(frac)) % TWO_PI
-        out.append(theta)
+        lo_k, hi_k, den_k = lo_k * root.lo, hi_k * root.hi, den_k * root.den
+        while (hi_k - lo_k) << precision_bits > den_k or lo_k // den_k != hi_k // den_k:
+            root.bisect(Fraction(root.hi - root.lo, 4 * root.den))
+            lo_k, hi_k, den_k = root.lo**k, root.hi**k, root.den**k
+        whole = lo_k // den_k
+        frac = (lo_k + hi_k - 2 * whole * den_k) / (2 * den_k)
+        out.append((TWO_PI * frac) % TWO_PI)
     return AngleList(tuple(out))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisotdyn.algebraic import (
+    _pow_rounded,
     FIBONACCI,
     PADOVAN,
     PELL,
@@ -28,6 +29,7 @@ from pisotdyn.algebraic import (
     pv_verdict,
     ratio_limit_check,
     recurrence_term,
+    refine_root,
     schur_cohn,
     sturm_count,
     wielandt_bound,
@@ -307,6 +309,29 @@ class TestDecay:
         with pytest.raises(ValueError):
             pv_decay(IntPolynomial((-3, 0, 1)), 4)
 
+    @pytest.mark.parametrize("p, n", [(GOLDEN, 200), (PLASTIC, 500)], ids=["golden", "plastic"])
+    def test_contains_mpmath_value_and_is_narrow(self, p, n):
+        with mpmath.workprec(12_000):
+            f = lambda x: mpmath.polyval(list(reversed(p.coefficients)), x)
+            lam = mpmath.findroot(f, mpmath.mpf(1.5))
+            exact = abs(power_sums(p, n) - lam**n)
+            d = pv_decay(p, n)
+            lower, upper = (mpmath.mpf(x.numerator) / x.denominator for x in (d.lower, d.upper))
+            assert lower <= exact <= upper
+        precision = 2 * n + 64  # lambda < 2
+        assert d.width <= Fraction(1, 2**precision)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 100), st.integers(2, 200))
+    def test_outward_rounded_powers_bound_the_exact_power(self, x, n, bits):
+        x += 1 << bits  # a fixed-point number >= 1, as lambda's ends are
+        exact = Fraction(x, 1 << bits) ** n
+        down = _pow_rounded(x, n, bits, up=False)
+        up = _pow_rounded(x, n, bits, up=True)
+        assert Fraction(down, 1 << bits) <= exact <= Fraction(up, 1 << bits)
+        # each side is off by under 1.5 n ulps per unit of the power
+        assert up - down <= 3 * n * ((up >> bits) + 1)
+
 
 class TestRecurrences:
     def test_fibonacci(self):
@@ -346,6 +371,61 @@ class TestRealApprox:
         tau = (1 + math.sqrt(5)) / 2
         assert iv.lower <= Fraction(tau).limit_denominator(10**15) <= iv.upper or \
             abs(float(iv.midpoint) - tau) < 1e-11
+
+
+def reference_bisection(p, lo, hi, width):
+    """The Fraction bisection RootBracket replaced: the oracle it must match."""
+    s_lo = (p(lo) > 0) - (p(lo) < 0)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = (p(mid) > 0) - (p(mid) < 0)
+        if s_mid == 0:
+            eps = width / 4
+            return RealApprox(max(lo, mid - eps), min(hi, mid + eps))
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RealApprox(lo, hi)
+
+
+# the eight PV cubics and quartics with coefficients in [-2, 2] and root < 2
+PV_POOL = [(-1, -1, -1, 1), (-1, -1, 0, 1), (-1, 0, -1, 1), (-1, 1, -2, 1),
+           (-1, -1, -1, -1, 1), (-1, 0, 0, -1, 1), (-1, 1, 0, -2, 1), (1, 0, -2, -1, 1)]
+NON_MONIC = [(-1, -3, 2), (-1, -5, 0, 3)]  # Cauchy bounds 5/2 and 8/3
+EXACT_ROOT = (-2, 1)  # x - 2: the first midpoint of [1, 3] is the root
+
+
+class TestRootBracket:
+    @pytest.mark.parametrize("coeffs", PV_POOL + NON_MONIC + [EXACT_ROOT])
+    @pytest.mark.parametrize("width", [Fraction(1, 10**12), Fraction(1, 2**200), Fraction(3, 7**50)])
+    def test_matches_fraction_bisection(self, coeffs, width):
+        p = IntPolynomial(coeffs)
+        want = reference_bisection(p, Fraction(1), p.cauchy_bound(), width)
+        got = dominant_root_interval(p, width)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        iv = dominant_root_interval(p)
+        want = reference_bisection(p, iv.lower, iv.upper, width / 10**9)
+        got = refine_root(p, iv, width / 10**9)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+
+    @pytest.mark.parametrize("coeffs, lo, hi", [
+        ((-1, -1, 1), Fraction(8, 5), Fraction(13, 8)),
+        ((-1, -3, 2), Fraction(5, 3), Fraction(9, 5)),
+        (EXACT_ROOT, Fraction(5, 3), Fraction(7, 3)),
+    ])
+    def test_non_dyadic_interval(self, coeffs, lo, hi):
+        p = IntPolynomial(coeffs)
+        for width in (Fraction(1, 10**30), Fraction(1, 3**40)):
+            want = reference_bisection(p, lo, hi, width)
+            got = refine_root(p, RealApprox(lo, hi), width)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert got.lower <= got.upper and got.width <= width
+
+    def test_root_at_lower_end(self):
+        p = IntPolynomial(EXACT_ROOT)
+        iv = refine_root(p, RealApprox(Fraction(2), Fraction(5, 2)), Fraction(1, 10**6))
+        assert (iv.lower, iv.upper) == (2, 2)
 
 
 class TestSturm:

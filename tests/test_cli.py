@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -195,6 +200,8 @@ MALFORMED = [
     ["cantor", "dim", "--alphabet-size", "1"],
     ["subst", "{fib}", "iterate", "-k", "0"],
     ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "0", "--format", "json"],
+    ["cantor", "represent", "--q", "1/3", "--digits", "-1"],
+    ["spacing", "cusps", "--poly", "-1,-1,1", "-n", "3", "--precision-bits", "-1"],
 ]
 
 
@@ -238,3 +245,36 @@ def test_small_integers_never_escape(fib_spec, argv, n):
         assert r.exception is None
     else:
         assert_clean_error(r)
+
+
+# stdout digests of the exact-interval outputs, taken before the integer
+# bisection kernel replaced the Fraction one: its intervals must not move
+PINNED = [
+    (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
+     "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
+    (["spacing", "cusps", "--poly", "-1,-1,0,1", "-n", "200"],
+     "9b97ad42fbdf361ae1d813c830c0b9166aa310af48d85af95e9db6620d89bb02"),
+    (["spacing", "cusps", "--poly", "-1,-1,-1,1", "-n", "160"],
+     "71288caec8fe320e77657429543def1c8851fc1efd8063d40d24973089602a04"),
+    (["pv", "--poly", "1,-1,2,0,-1,1,0,-2,1,-11,1"],
+     "4ed77be84a460293146a11fcfe010568ba29d01c35f0d5c2306e40624d7fe831"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+def test_certified_output_bytes_are_pinned(runner, argv, digest):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
+
+
+def test_cli_start_up_does_not_import_numpy():
+    import pisotdyn
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pisotdyn.__file__).parents[1]))
+    code = (
+        "import sys, pisotdyn.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert abs(pisotdyn.cyclotomic_sum(8)) < 1e-12\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
