@@ -281,9 +281,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(self.entries[i][k] * v[k] for k in range(n)) for i in range(n))
 
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.dimension))
-
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
@@ -569,7 +566,7 @@ class RootBracket:
         d = len(self._coefficients) - 1
         # c_i * base^(d-i): the Horner terms up to their power-of-two factor
         self._scaled = [c * base ** (d - i) for i, c in enumerate(self._coefficients)]
-        self._sign_lo = self._sign_at(self.lo, 0)
+        self._sign_hi = self._sign_at(self.hi, 0)
 
     @property
     def den(self) -> int:
@@ -586,8 +583,9 @@ class RootBracket:
 
     def bisect(self, width: Fraction) -> None:
         """Halve until hi - lo <= width, keeping the half on which p's sign
-        differs from its sign at lo.  An exact root at a midpoint m ends the
-        refinement at [m - width/4, m + width/4]."""
+        differs from its sign at hi, the end that is not a root (lo may be
+        one: 1 is a root of (x - 1)(2x - 5)).  An exact root at a midpoint m
+        ends the refinement at [m - width/4, m + width/4]."""
         width = Fraction(width)
         wn, wd = width.numerator, width.denominator
         lo, hi, shift = self.lo, self.hi, self._shift
@@ -598,10 +596,10 @@ class RootBracket:
                 m = Fraction(mid, self._base << shift)
                 self._reset(m - width / 4, m + width / 4)
                 return
-            if s == self._sign_lo:
-                lo, hi = mid, hi << 1
-            else:
+            if s == self._sign_hi:
                 lo, hi = lo << 1, mid
+            else:
+                lo, hi = mid, hi << 1
         self.lo, self.hi, self._shift = lo, hi, shift
 
     def approx(self) -> RealApprox:

@@ -95,22 +95,31 @@ class Substitution:
         return out
 
 
+def _images(sigma: Substitution) -> tuple:
+    return tuple(w.letters for w in sigma.rules)
+
+
 def apply(sigma: Substitution, w: Word) -> Word:
     if w.alphabet != sigma.alphabet:
         raise ValueError("word over a different alphabet")
-    out = []
-    for c in w.letters:
-        out.extend(sigma.rules[c].letters)
-    return Word(sigma.alphabet, tuple(out))
+    return Word(sigma.alphabet, b"".join(map(_images(sigma).__getitem__, w.letters)))
 
 
 def iterate(sigma: Substitution, letter: int, k: int) -> Word:
+    """sigma^k(letter), composing letter images one level at a time:
+    sigma^(j+1)(c) is the join of sigma^j(d) over the letters d of sigma(c).
+    Level j keeps only the letters that occur in sigma^(k-j)(letter), so
+    every image held is a factor of the result."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    w = Word(sigma.alphabet, (letter,))
-    for _ in range(k):
-        w = apply(sigma, w)
-    return w
+    rules = _images(sigma)
+    reach = [Word(sigma.alphabet, (letter,)).letters]
+    for _ in range(k - 1):
+        reach.append(bytes(set(b"".join(rules[d] for d in reach[-1]))))
+    images = {d: rules[d] for d in reach[-1]}
+    for level in reversed(reach[:-1]):
+        images = {d: b"".join([images[e] for e in rules[d]]) for d in level}
+    return Word(sigma.alphabet, images[letter])
 
 
 def incidence_matrix(sigma: Substitution) -> IntMatrix:
@@ -161,23 +170,7 @@ def fixed_point_prefix(sigma: Substitution, letter: int, length: int) -> PrefixS
             suggested_power=suggestion,
         )
 
-    return PrefixStream(sigma.alphabet, lambda: _fixed_point_source(sigma, letter))
-
-
-def _fixed_point_source(sigma: Substitution, letter: int):
-    """Generate sigma-bar(letter): x = sigma(x[0]) sigma(x[1]) ... with
-    x[0] = letter; valid because sigma(letter) starts with letter."""
-    buf = list(sigma.rules[letter].letters)
-    emitted = 0
-    expanded = 1  # buf currently equals sigma(x[0..expanded-1])
-    while True:
-        if emitted < len(buf):
-            yield buf[emitted]
-            emitted += 1
-        else:
-            # need more: expand the image of the next fixed-point letter
-            buf.extend(sigma.rules[buf[expanded]].letters)
-            expanded += 1
+    return PrefixStream(sigma.alphabet, _images(sigma), letter)
 
 
 @dataclass(frozen=True)

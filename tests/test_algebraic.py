@@ -422,6 +422,28 @@ class TestRootBracket:
             assert (got.lower, got.upper) == (want.lower, want.upper)
             assert got.lower <= got.upper and got.width <= width
 
+    def test_root_at_one(self):
+        # (x - 1)(2x - 5): p(1) = 0 must not serve as the sign reference
+        p = IntPolynomial((5, -7, 2))
+        iv = dominant_root_interval(p)
+        assert iv.contains(Fraction(5, 2)) and iv.width <= Fraction(1, 10**12)
+        fine = refine_root(p, iv, Fraction(1, 10**40))
+        assert fine.contains(Fraction(5, 2)) and fine.width <= Fraction(1, 10**40)
+
+    def test_root_at_upper_end(self):
+        p = IntPolynomial((5, -7, 2))
+        iv = refine_root(p, RealApprox(Fraction(3, 2), Fraction(5, 2)), Fraction(1, 10**20))
+        assert iv.upper == Fraction(5, 2) and iv.width <= Fraction(1, 10**20)
+
+    def test_ratio_limit_with_root_at_one(self):
+        # f_n = 2 f_(n-1) - f_(n-3) from (0, 1, 1) is Fibonacci; char poly
+        # (x - 1)(x^2 - x - 1), whose root in (1, cauchy bound] is the golden ratio
+        r = Recurrence((2, 0, -1), (0, 1, 1))
+        p = IntPolynomial((1, 0, -2, 1))
+        assert r.term(40) == FIBONACCI.term(40)
+        iv = ratio_limit_check(r, p, 40)
+        assert iv.upper < Fraction(1, 10**15)
+
     def test_root_at_lower_end(self):
         p = IntPolynomial(EXACT_ROOT)
         iv = refine_root(p, RealApprox(Fraction(2), Fraction(5, 2)), Fraction(1, 10**6))

@@ -219,6 +219,15 @@ def test_malformed_call_ends_in_one_error_line(runner, fib_path, argv):
     assert_clean_error(r)
 
 
+def test_alphabet_holds_at_most_256_symbols(runner):
+    ok = runner.invoke(main, ["cantor", "dim", "--alphabet-size", "256"])
+    assert ok.exit_code == 0 and ok.stdout == "0.999294179607\n"
+    r = runner.invoke(main, ["cantor", "dim", "--alphabet-size", "300"])
+    assert_clean_error(r)
+    assert r.exit_code == 1
+    assert r.stderr == "Error: alphabet holds at most 256 symbols\n"
+
+
 @pytest.fixture(scope="module")
 def fib_spec(tmp_path_factory):
     p = tmp_path_factory.mktemp("spec") / "fibonacci.json"
@@ -248,7 +257,9 @@ def test_small_integers_never_escape(fib_spec, argv, n):
 
 
 # stdout digests of the exact-interval outputs, taken before the integer
-# bisection kernel replaced the Fraction one: its intervals must not move
+# bisection kernel replaced the Fraction one: its intervals must not move;
+# and of long fixed points, iterates and complexity profiles, taken before
+# words became bytes
 PINNED = [
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
      "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
@@ -258,12 +269,28 @@ PINNED = [
      "71288caec8fe320e77657429543def1c8851fc1efd8063d40d24973089602a04"),
     (["pv", "--poly", "1,-1,2,0,-1,1,0,-2,1,-11,1"],
      "4ed77be84a460293146a11fcfe010568ba29d01c35f0d5c2306e40624d7fe831"),
+    (["entropy", "--spec", "{fib}", "--prefix-len", "200000", "--n-max", "200"],
+     "4e2437c4ed8a39a81d9e402b88e1e6f1145334ad533a9365f78aca7baec18f7b"),
+    (["subst", "{ternary}", "fixpoint", "-L", "1000000"],
+     "dfe8cc1bbcbc525ee73e623c4c416e0fa4648a5e1bc1d4a9b02994e2b89e1e37"),
+    (["subst", "{thue_morse}", "iterate", "-k", "18"],
+     "ca099fccc52805162d0b0d95772b3bfbda8573d883a9d30ef4a34f41ef59274a"),
 ]
+
+PINNED_SPECS = {
+    "fib": FIB_SPEC,
+    "ternary": '{"alphabet": ["0", "1", "2"], "rules": {"0": "0212", "1": "0", "2": "00"}}',
+    "thue_morse": '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "10"}}',
+}
 
 
 @pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
-def test_certified_output_bytes_are_pinned(runner, argv, digest):
-    r = runner.invoke(main, argv)
+def test_certified_output_bytes_are_pinned(runner, tmp_path, argv, digest):
+    paths = {}
+    for name, spec in PINNED_SPECS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(spec)
+    r = runner.invoke(main, [a.format(**paths) for a in argv])
     assert r.exit_code == 0
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
 

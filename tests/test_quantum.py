@@ -43,7 +43,7 @@ class TestFirstKind:
 
     def test_basis_relabeling(self):
         out = apply_first_kind(FIBONACCI_SUBST, basis_state(BINARY.word("0")))
-        assert out.amplitudes[0][0].letters == (0, 1)
+        assert tuple(out.amplitudes[0][0].letters) == (0, 1)
         assert abs(out.amplitudes[0][1]) == 1.0
 
     def test_collision_renormalizes(self):

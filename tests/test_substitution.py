@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, recurrence_term
 from pisotdyn.substitution import (
@@ -19,7 +21,13 @@ from pisotdyn.substitution import (
     letter_counts,
     substitution_entropy_estimate,
 )
-from pisotdyn.words import Alphabet, empirical_frequencies
+from pisotdyn.words import (
+    BINARY,
+    Alphabet,
+    complexity_bruteforce,
+    complexity_profile,
+    empirical_frequencies,
+)
 
 THUE_MORSE = Substitution.from_rules(Alphabet(("0", "1")), {"0": "01", "1": "10"})
 
@@ -113,6 +121,79 @@ class TestFixedPoint:
     def test_suggested_power_works(self):
         stream = fixed_point_prefix(PADOVAN_SUBST.power(3), 0, 50)
         assert str(stream.prefix(3)) == "012"
+
+
+def reference_fixed_point(sigma, letter):
+    """Letter-at-a-time generator of the fixed point starting with letter:
+    x = sigma(x[0]) sigma(x[1]) ..., valid when sigma(letter) starts with letter."""
+    buf = list(sigma.rules[letter].letters)
+    emitted = 0
+    expanded = 1  # buf currently equals sigma(x[0..expanded-1])
+    while True:
+        if emitted < len(buf):
+            yield buf[emitted]
+            emitted += 1
+        else:
+            buf.extend(sigma.rules[buf[expanded]].letters)
+            expanded += 1
+
+
+@st.composite
+def fixed_point_substitutions(draw):
+    """(sigma, a): 2-4 letters, images of length 1-4, sigma(a) = a followed
+    by 1-3 letters."""
+    size = draw(st.integers(2, 4))
+    letter = st.integers(0, size - 1)
+    a = draw(letter)
+    images = [draw(st.lists(letter, min_size=1, max_size=4)) for _ in range(size)]
+    images[a] = [a] + draw(st.lists(letter, min_size=1, max_size=3))
+    alphabet = Alphabet(tuple(str(i) for i in range(size)))
+    return Substitution.from_rules(
+        alphabet, {str(c): "".join(map(str, img)) for c, img in enumerate(images)}
+    ), a
+
+
+class TestWordEquivalence:
+    """The join-based word code against letter-at-a-time references."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_point_substitutions(), st.lists(st.integers(0, 5000), min_size=1, max_size=4))
+    def test_fixed_point_matches_reference(self, sub, lengths):
+        sigma, a = sub
+        stream = fixed_point_prefix(sigma, a, max(lengths))
+        gen = reference_fixed_point(sigma, a)
+        expected = bytes(next(gen) for _ in range(max(lengths)))
+        for n in lengths:  # grown in the drawn order, shorter ones re-read
+            assert stream.prefix(n).letters == expected[:n]
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_point_substitutions(), st.data())
+    def test_iterate_matches_repeated_apply(self, sub, data):
+        sigma, _ = sub
+        b = data.draw(st.integers(0, sigma.alphabet.size - 1))
+        w = sigma.alphabet.word(sigma.alphabet.symbols[b])
+        for k in range(1, 7):
+            w = apply(sigma, w)
+            assert iterate(sigma, b, k) == w
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_point_substitutions(), st.integers(1, 400), st.data())
+    def test_profile_matches_bruteforce(self, sub, length, data):
+        sigma, a = sub
+        word = fixed_point_prefix(sigma, a, length).prefix(length)
+        n_max = data.draw(st.integers(1, length))
+        profile = complexity_profile(word, n_max)
+        assert profile.values == tuple(complexity_bruteforce(word, n) for n in range(1, n_max + 1))
+
+    def test_slowly_growing_fixed_point(self):
+        slow = Substitution.from_rules(BINARY, {"0": "01", "1": "1"})
+        n = 10**6
+        assert fixed_point_prefix(slow, 0, n).prefix(n).letters == b"\x00" + b"\x01" * (n - 1)
+
+    def test_iterate_ignores_letters_it_never_reaches(self):
+        # sigma^64(1) would hold 2^64 letters; sigma^64(0) is one
+        sigma = Substitution.from_rules(BINARY, {"0": "0", "1": "11"})
+        assert str(iterate(sigma, 0, 64)) == "0"
 
 
 class TestSerialization:

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -42,11 +45,59 @@ class TestAlphabet:
         with pytest.raises(KeyError):
             ab.lex("w")
 
+    def test_at_most_256_symbols(self):
+        assert Alphabet(tuple(range(256))).size == 256
+        with pytest.raises(ValueError):
+            Alphabet(tuple(range(257)))
+
     def test_multichar_roundtrip(self):
         ab = Alphabet(("aa", "b"))
         word = ab.word("aa,b,aa")
         assert str(word) == "aa,b,aa"
-        assert word.letters == (0, 1, 0)
+        assert tuple(word.letters) == (0, 1, 0)
+
+
+class TestWordInput:
+    TERNARY = Alphabet(("0", "1", "2"))
+
+    def test_bytes_taken_as_is(self):
+        assert Word(self.TERNARY, b"\x00\x02\x01").letters == b"\x00\x02\x01"
+        word = Word(self.TERNARY, bytearray(b"\x01\x00"))
+        assert type(word.letters) is bytes and str(word) == "10"
+
+    def test_other_iterables_read_through_int(self):
+        assert Word(self.TERNARY, (0, 2, 1)) == Word(self.TERNARY, b"\x00\x02\x01")
+        assert Word(self.TERNARY, ["1", True, 0]).letters == b"\x01\x01\x00"
+        assert Word(self.TERNARY, iter(range(3))).letters == b"\x00\x01\x02"
+
+    def test_int_is_not_a_word(self):
+        # bytes(5) would be five zero letters
+        with pytest.raises(TypeError):
+            Word(self.TERNARY, 5)
+
+    @pytest.mark.parametrize("letters", [
+        (0, -1), (3,), (256,), (0, 1000), b"\x00\x03", bytearray(b"\xff"),
+    ])
+    def test_out_of_range(self, letters):
+        with pytest.raises(ValueError, match="letter index out of range"):
+            Word(self.TERNARY, letters)
+
+    def test_letter_256_of_largest_alphabet(self):
+        big = Alphabet(tuple(range(256)))
+        assert Word(big, (255, 0)).letters == b"\xff\x00"
+        with pytest.raises(ValueError, match="letter index out of range"):
+            Word(big, (256,))
+
+    def test_non_integer_letters(self):
+        with pytest.raises(ValueError, match="invalid literal"):
+            Word(self.TERNARY, ("a",))
+
+    def test_str_and_tokens(self):
+        greek = Alphabet(("α", "β"))
+        assert str(Word(greek, (1, 0))) == "βα"
+        multi = Alphabet(("aa", "b"))
+        assert str(Word(multi, (1, 0))) == "b,aa"
+        assert Word(multi, (1, 0)).tokens() == ["b", "aa"]
 
 
 class TestConcat:
@@ -55,7 +106,7 @@ class TestConcat:
 
     def test_identity(self):
         empty = Word(BINARY, ())
-        assert concat(w("01"), empty).letters == (0, 1)
+        assert tuple(concat(w("01"), empty).letters) == (0, 1)
 
     def test_direct(self):
         assert str(concat(w("0"), w("01001"))) == "001001"
@@ -113,6 +164,17 @@ class TestComplexity:
         for n in range(1, len(word) + 1):
             assert prof.values[n - 1] == complexity_bruteforce(word, n)
 
+    @pytest.mark.parametrize("size", [16, 17, 256])
+    def test_profile_large_alphabets(self, size):
+        # more than 16 letters switches to sparse transition tables
+        ab = Alphabet(tuple(range(size)))
+        rng = random.Random(size)
+        for length in (300, 2000):
+            pool = rng.sample(range(size), min(size, 40))
+            word = Word(ab, bytes(rng.choice(pool[: rng.randint(17, 40)]) for _ in range(length)))
+            prof = complexity_profile(word, 30)
+            assert prof.values == tuple(complexity_bruteforce(word, n) for n in range(1, 31))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=120), st.data())
@@ -169,21 +231,43 @@ class TestClassification:
 
 
 class TestPrefixStream:
-    def test_deterministic_and_extendable(self):
-        def gen():
-            i = 0
-            while True:
-                yield i % 2
-                i += 1
+    FIB_IMAGES = (b"\x00\x01", b"\x00")
 
-        stream = PrefixStream(BINARY, gen)
+    def test_deterministic_and_extendable(self):
+        stream = PrefixStream(BINARY, self.FIB_IMAGES, 0)
         first = stream.prefix(5)
         longer = stream.prefix(9)
+        assert str(longer) == "010010100"
         assert longer.letters[:5] == first.letters
         assert stream.prefix(5).letters == first.letters
+        assert stream.prefix(0).letters == b""
 
-    def test_exhaustion(self):
-        stream = PrefixStream(BINARY, lambda: iter([0, 1, 0]))
-        assert str(stream.prefix(3)) == "010"
+    def test_finite_fixed_point_rejected(self):
+        # sigma(0) = 0 gives the finite word 0, sigma(1) = 0 does not start
+        # with 1, and 2 is no letter
+        for images, letter in [((b"\x00", b"\x01"), 0), (self.FIB_IMAGES, 1), (self.FIB_IMAGES, 2)]:
+            with pytest.raises(ValueError):
+                PrefixStream(BINARY, images, letter)
+
+    def test_images_validated(self):
+        for images in [(b"\x00\x01",), (b"\x00\x01", b""), (b"\x00\x02", b"\x00")]:
+            with pytest.raises(ValueError):
+                PrefixStream(BINARY, images, 0)
+
+    def test_negative_length(self):
         with pytest.raises(ValueError):
-            stream.prefix(4)
+            PrefixStream(BINARY, self.FIB_IMAGES, 0).prefix(-1)
+
+    def test_concurrent_readers_agree(self):
+        stream = PrefixStream(BINARY, self.FIB_IMAGES, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                lengths = [50_000, 1_000, 200_000, 7] * 4
+                results = list(pool.map(stream.prefix, lengths, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        longest = max(results, key=len)
+        assert all(longest.letters.startswith(r.letters) for r in results)
+        assert longest == PrefixStream(BINARY, self.FIB_IMAGES, 0).prefix(200_000)
