@@ -48,7 +48,6 @@ from .quantum import (
     quantum_entropy_estimate,
     quantum_spacing_simulate,
     second_kind_limit,
-    second_kind_step,
     symmetric_state,
 )
 from .substitution import (

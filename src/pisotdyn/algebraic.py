@@ -28,29 +28,6 @@ def _pdeg(c) -> int:
     return len(c) - 1
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _pscale(a, k):
-    if k == 0:
-        return (Fraction(0),)
-    return tuple(x * k for x in a)
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
 def _pdivmod(a, b):
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in _trim(b)]
@@ -141,9 +118,10 @@ def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
     return _var_at(chain, lo) - _var_at(chain, hi)
 
 
-def _cauchy_index(den, num) -> int:
-    """Cauchy index of num/den over (-inf, +inf)."""
-    chain = _sturm_chain(den, num)
+def _var_drop(chain) -> int:
+    """Sign variations at -inf minus those at +inf: the number of distinct
+    real roots for a Sturm chain (p, p', ...), the Cauchy index of q/p for
+    the chain of (p, q)."""
     return _var_at_inf(chain, positive=False) - _var_at_inf(chain, positive=True)
 
 
@@ -178,10 +156,6 @@ class IntPolynomial:
 
     def __call__(self, x):
         return _peval(self.coefficients, x)
-
-    def derivative(self) -> "IntPolynomial":
-        d = _pderiv([Fraction(c) for c in self.coefficients])
-        return IntPolynomial(tuple(int(x) for x in d))
 
     def reciprocal(self) -> "IntPolynomial":
         """z^deg * p(1/z): reversed coefficients."""
@@ -332,6 +306,20 @@ def is_primitive(m: IntMatrix) -> bool:
     return all(all(row) for row in a)
 
 
+def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
+    """Normalized power iteration on floats: v <- M v / norm(M v) until no
+    entry moves by tol, at most n_max steps.  Returns (vector, steps)."""
+    steps = 0
+    for steps in range(1, n_max + 1):
+        w = m.apply(v)
+        s = norm(w)
+        w = [x / s for x in w]
+        if max(abs(a - b) for a, b in zip(w, v)) < tol:
+            return tuple(w), steps
+        v = w
+    return tuple(v), steps
+
+
 # ---------------------------------------------------------------------------
 # root counting relative to the unit circle
 
@@ -346,39 +334,38 @@ class RootCount:
         return self.inside + self.on_circle + self.outside
 
 
-def _strip_root(c, r: Fraction):
-    q, rem = _pdivmod(c, (-r, Fraction(1)))
-    if rem != (Fraction(0),):
+def _strip_root(c, r: int):
+    """c / (z - r) by integer synthetic division; r must be a root of c."""
+    q = [c[-1]]
+    for x in reversed(c[1:-1]):
+        q.append(x + r * q[-1])
+    if c[0] + r * q[-1] != 0:
         raise ArithmeticError(f"{r} is not a root")
+    return tuple(reversed(q))
+
+
+def _moebius(c):
+    """q(w) = (1 - w)^n c((1 + w) / (1 - w)) over the integers, n = deg c.
+
+    z = (1 + w) / (1 - w) maps Re w < 0 onto |z| < 1 and the imaginary
+    axis onto the circle without z = -1.
+    """
+    n = len(c) - 1
+    q = [0] * (n + 1)
+    for k, ck in enumerate(c):
+        for i in range(k + 1):
+            a = ck * math.comb(k, i)
+            for j in range(n - k + 1):
+                q[i + j] += a * math.comb(n - k, j) * (-1) ** j
     return q
 
 
-def _palindromic_to_chebyshev(c):
-    """Write palindromic even-degree p as z^m * e(z + 1/z); return e.
-
-    Uses u_k(x) = z^k + z^-k with u_0 = 2, u_1 = x, u_k = x*u_{k-1} - u_{k-2}.
-    """
-    m = _pdeg(c) // 2
-    if _pdeg(c) != 2 * m or list(c) != list(reversed(c)):
-        raise ArithmeticError("not a palindromic polynomial of even degree")
-    u_prev = (Fraction(2),)
-    u = (Fraction(0), Fraction(1))
-    e = _pscale((Fraction(1),), c[m])
-    for k in range(1, m + 1):
-        e = _padd(e, _pscale(u, c[m + k]))
-        if k < m:
-            u_prev, u = u, _padd(_pmul((Fraction(0), Fraction(1)), u), _pscale(u_prev, -1))
-    return _trim(e)
-
-
 def _count_lhp(q):
-    """Roots of real poly q with Re < 0; q must have no imaginary-axis roots."""
+    """(roots with Re < 0, roots on the imaginary axis) of real q, q(0) != 0."""
     n = _pdeg(q)
-    if n == 0:
-        return 0
     # q(iy) = P(y) + i R(y)
-    p_part = [Fraction(0)] * (n + 1)
-    r_part = [Fraction(0)] * (n + 1)
+    p_part = [0] * (n + 1)
+    r_part = [0] * (n + 1)
     for j, c in enumerate(q):
         if j % 4 == 0:
             p_part[j] += c
@@ -390,77 +377,43 @@ def _count_lhp(q):
             r_part[j] -= c
     p_part, r_part = _trim(p_part), _trim(r_part)
     if n % 2 == 1:
-        diff = _cauchy_index(r_part, p_part)
+        chain = _sturm_chain(r_part, p_part)
+        diff = _var_drop(chain)
     else:
-        diff = -_cauchy_index(p_part, r_part)
-    # diff = n_lhp - n_rhp
-    if (n + diff) % 2:
+        chain = _sturm_chain(p_part, r_part)
+        diff = -_var_drop(chain)
+    # chain[-1] is gcd(P, R), whose distinct real roots y are the axis roots
+    # w = iy.  Their factor of q is even in w, so it multiplies P and R by
+    # one real polynomial, and the chain still gives n_lhp - n_rhp for the
+    # other roots.
+    axis = _var_drop(_sturm_chain(chain[-1]))
+    if (n - axis + diff) % 2:
         raise ArithmeticError("parity failure in Cauchy index")
-    return (n + diff) // 2
-
-
-def _count_inside_no_circle(p):
-    """|z| < 1 roots of p, assuming none on the circle.  Exact."""
-    n = _pdeg(p)
-    if n == 0:
-        return 0
-    # z = (1+w)/(1-w) maps Re(w) < 0 onto |z| < 1
-    q = (Fraction(0),)
-    one_plus = (Fraction(1), Fraction(1))
-    one_minus = (Fraction(1), Fraction(-1))
-    for k, c in enumerate(p):
-        term = (Fraction(c),)
-        for _ in range(k):
-            term = _pmul(term, one_plus)
-        for _ in range(n - k):
-            term = _pmul(term, one_minus)
-        q = _padd(q, term)
-    if _pdeg(q) != n:
-        raise ArithmeticError("degree drop: root at z = -1 on the circle")
-    return _count_lhp(q)
+    return (n - axis + diff) // 2, axis
 
 
 def schur_cohn(p: IntPolynomial) -> RootCount:
     """Exact counts of roots with |z| < 1, = 1, > 1.
 
     Requires a squarefree polynomial; deflate with squarefree_part first.
+    The roots at 0 and +-1 are stripped, then one Moebius map sends the
+    disk to the left half-plane and the circle to the imaginary axis.
     """
     if p.degree == 0:
         return RootCount(0, 0, 0)
     if not p.is_squarefree():
         raise NotSquarefreeError("schur_cohn requires a squarefree polynomial")
-    c = p._frac()
-    inside = 0
-    # roots at the origin
-    while c[0] == 0:
-        inside += 1
-        c = _trim(c[1:])
-    # d collects every root r of p such that 1/r is also a root (this set is
-    # closed under inversion, so d is +-palindromic); all circle roots live here
-    d = _pgcd(c, tuple(reversed(c)))
-    q, rem = _pdivmod(c, d)
-    if rem != (Fraction(0),):
-        raise ArithmeticError("gcd does not divide the polynomial")
-    on = 0
-    d_deg = _pdeg(d)
-    if d_deg > 0:
-        d2 = d
-        if _peval(d2, Fraction(1)) == 0:
-            on += 1
-            d2 = _strip_root(d2, Fraction(1))
-        if _peval(d2, Fraction(-1)) == 0:
-            on += 1
-            d2 = _strip_root(d2, Fraction(-1))
-        if _pdeg(d2) > 0:
-            lead = d2[-1]
-            d2 = tuple(x / lead for x in d2)
-            e = _palindromic_to_chebyshev(d2)
-            # circle roots of d2 come in conjugate pairs with z + 1/z in (-2, 2)
-            on += 2 * sturm_count(e, Fraction(-2), Fraction(2))
-    inside += (d_deg - on) // 2
-    inside += _count_inside_no_circle(q)
-    total = p.degree
-    return RootCount(inside=inside, on_circle=on, outside=total - inside - on)
+    c = p.coefficients
+    inside = on = 0
+    # squarefree: 0, 1 and -1 are at most simple roots
+    if c[0] == 0:
+        inside, c = 1, _strip_root(c, 0)
+    for r in (1, -1):
+        if _peval(c, Fraction(r)) == 0:
+            on, c = on + 1, _strip_root(c, r)
+    lhp, axis = _count_lhp(_moebius(c))
+    inside, on = inside + lhp, on + axis
+    return RootCount(inside=inside, on_circle=on, outside=p.degree - inside - on)
 
 
 # ---------------------------------------------------------------------------
@@ -628,23 +581,47 @@ def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox
     return root.approx()
 
 
-def pv_verdict(p: IntPolynomial) -> str:
-    """'pv' or 'not_pv', decided by the root layout alone.
+@dataclass(frozen=True)
+class RootLayout:
+    """Where the roots of a monic integer polynomial p lie.
 
-    p is PV when p(0) != 0, exactly one root lies outside the closed unit
-    disk, none on the circle, and that root is real in (1, cauchy bound].
-    Irreducibility then follows (Kronecker, see irreducible_over_q).
+    counts: schur_cohn counts of p's squarefree part.
+    lam: the interval of lambda when p has one simple real root lambda > 1
+    and every other root in the open unit disk, else None.
+    pv: lam is not None and p(0) != 0.
+    """
+
+    counts: RootCount
+    lam: Optional[RealApprox]
+    pv: bool
+
+
+def root_layout(p: IntPolynomial) -> RootLayout:
+    """The one root-location decision behind pv_verdict, classify_pisot
+    and the CLI's pv report.
+
+    With one root of the squarefree part sf outside the closed disk and
+    none on the circle, that root is real (a non-real one brings its
+    conjugate), and since sf is monic it is > 1 exactly when sf(1) < 0.
+    It is simple in p exactly when p = z^m sf: when it is, every root of
+    the monic integer polynomial p / sf lies in the open disk, and such a
+    polynomial is z^m (Kronecker).  So a pv layout is squarefree, and
+    irreducible by Kronecker's theorem (see irreducible_over_q).
     """
     if not p.is_monic:
         raise ValueError("PV certification requires a monic polynomial")
-    if p.degree == 0 or p.coefficients[0] == 0 or not p.is_squarefree():
-        return "not_pv"
-    counts = schur_cohn(p)
-    if counts.outside != 1 or counts.on_circle != 0:
-        return "not_pv"
-    if sturm_count(p.coefficients, Fraction(1), p.cauchy_bound()) != 1:
-        return "not_pv"
-    return "pv"
+    sf = p.squarefree_part()
+    counts = schur_cohn(sf)
+    lam = None
+    if (counts.outside == 1 and counts.on_circle == 0 and sf(Fraction(1)) < 0
+            and p.coefficients == (0,) * (p.degree - sf.degree) + sf.coefficients):
+        lam = dominant_root_interval(sf)
+    return RootLayout(counts, lam, lam is not None and p.coefficients[0] != 0)
+
+
+def pv_verdict(p: IntPolynomial) -> str:
+    """'pv' or 'not_pv', read off root_layout."""
+    return "pv" if root_layout(p).pv else "not_pv"
 
 
 def is_pv(p: IntPolynomial) -> bool:

@@ -203,24 +203,22 @@ def _emit_angles(angles, fmt, out, cusp=False):
 def pv(poly, out):
     """Pisot-Vijayaraghavan certification with exact root counts."""
     p = _parse_poly(poly)
-    verdict = algebraic.pv_verdict(p)
+    layout = algebraic.root_layout(p)
+    counts = layout.counts
     report = {
         "schema": 1,
         "poly": list(p.coefficients),
         "pretty": p.pretty(),
-        "verdict": verdict,
-        "is_pv": verdict == "pv",
+        "verdict": "pv" if layout.pv else "not_pv",
+        "is_pv": layout.pv,
+        "root_counts": {
+            "inside": counts.inside,
+            "on_circle": counts.on_circle,
+            "outside": counts.outside,
+        },
     }
-    sf = p.squarefree_part()
-    counts = algebraic.schur_cohn(sf)
-    report["root_counts"] = {
-        "inside": counts.inside,
-        "on_circle": counts.on_circle,
-        "outside": counts.outside,
-    }
-    if verdict == "pv":
-        iv = algebraic.dominant_root_interval(sf)
-        report["leading_root"] = [fmt12(float(iv.lower)), fmt12(float(iv.upper))]
+    if layout.pv:
+        report["leading_root"] = [fmt12(float(layout.lam.lower)), fmt12(float(layout.lam.upper))]
     _emit(json.dumps(report, sort_keys=True), out)
 
 

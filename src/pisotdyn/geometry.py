@@ -270,10 +270,6 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
                          n_points: int) -> AngleList:
     """theta_k driven by the digits of the binary fixed point of sigma:
     advance by beta0 on letter 0, beta1 on letter 1 (mod 2*pi).
-
-    Cross-checked internally against the cumulative letter-count form
-    theta_k = (c0(k)*beta0 + c1(k)*beta1) mod 2*pi; the two must agree to
-    1e-9 or a ValueError is raised.
     """
     if sigma.alphabet.size != 2:
         raise ValueError("substitution spacing needs a binary alphabet")
@@ -286,17 +282,7 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
     digits = fixed_point_prefix(sigma, 0, n_points).prefix(n_points)
     thetas = []
     theta = 0.0
-    c0 = c1 = 0
-    for k, d in enumerate(digits.letters, start=1):
-        step = beta0 if d == 0 else beta1
-        theta = (theta + step) % TWO_PI
-        if d == 0:
-            c0 += 1
-        else:
-            c1 += 1
-        check = (c0 * beta0 + c1 * beta1) % TWO_PI
-        diff = abs(theta - check)
-        if min(diff, TWO_PI - diff) > 1e-9:
-            raise ValueError(f"digit-driven and count-driven angles diverge at k={k}")
-        thetas.append(theta % TWO_PI)
+    for d in digits.letters:
+        theta = (theta + (beta0 if d == 0 else beta1)) % TWO_PI
+        thetas.append(theta)
     return AngleList(tuple(thetas))

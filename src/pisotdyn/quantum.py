@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebraic import IntMatrix
+from .algebraic import IntMatrix, is_primitive, power_iteration
 from .geometry import TWO_PI, AngleList
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
 from .words import Alphabet, Word, complexity
@@ -108,13 +108,6 @@ def quantum_entropy_estimate(psi: QuantumState, n: int) -> float:
 # ---------------------------------------------------------------------------
 # second kind: the incidence matrix on the letter space
 
-def second_kind_step(m: IntMatrix, v: tuple) -> tuple:
-    """M . v exactly (integer matrix on a complex/rational letter vector)."""
-    if len(v) != m.dimension:
-        raise ValueError("dimension mismatch")
-    return m.apply(v)
-
-
 def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
                       tol: float = 1e-13):
     """Normalized power iteration from the basis letter `start`.
@@ -122,23 +115,11 @@ def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
     Returns (perron_vector, probabilities, iterations) with the vector
     normalized in l2 and Pr(a) = |<a|e_lambda>|^2.
     """
-    from .algebraic import is_primitive
-
     if not is_primitive(m):
         raise ValueError("second_kind_limit requires a primitive matrix")
-    d = m.dimension
-    v = [float(i == start) for i in range(d)]
-    its = 0
-    for its in range(1, n_max + 1):
-        w = [sum(m.entries[i][k] * v[k] for k in range(d)) for i in range(d)]
-        norm = math.sqrt(sum(x * x for x in w))
-        w = [x / norm for x in w]
-        if max(abs(a - b) for a, b in zip(w, v)) < tol:
-            v = w
-            break
-        v = w
-    probs = tuple(x * x for x in v)
-    return tuple(v), probs, its
+    v = [float(i == start) for i in range(m.dimension)]
+    v, its = power_iteration(m, v, lambda w: math.sqrt(sum(x * x for x in w)), tol, n_max)
+    return v, tuple(x * x for x in v), its
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +163,9 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     theta = 0.0
     angles = []
     outcomes = []
+    # the 2x2 step stays inline: power_iteration's generic step (IntMatrix.apply
+    # and a norm function) gives the same outcomes but is several times slower
+    # per step, and a run takes one step per angle
     for _ in range(n_steps):
         w = [m.entries[0][0] * v[0] + m.entries[0][1] * v[1],
              m.entries[1][0] * v[0] + m.entries[1][1] * v[1]]

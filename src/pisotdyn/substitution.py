@@ -16,11 +16,10 @@ from .algebraic import (
     RootCount,
     char_poly,
     conjugate_modulus_bound,
-    dominant_root_interval,
     irreducible_over_q,
     is_primitive,
-    schur_cohn,
-    sturm_count,
+    power_iteration,
+    root_layout,
 )
 from .words import Alphabet, PrefixStream, Word, entropy_estimate
 
@@ -220,51 +219,30 @@ def perron_frequencies(m: IntMatrix, tol: float = 1e-14, n_max: int = 10000) -> 
     """Perron eigenvector of a primitive matrix, normalized to sum 1,
     by power iteration on floats (cross-checked symbolically in tests)."""
     d = m.dimension
-    v = [1.0 / d] * d
-    for _ in range(n_max):
-        w = [sum(m.entries[i][k] * v[k] for k in range(d)) for i in range(d)]
-        s = sum(w)
-        w = [x / s for x in w]
-        if max(abs(a - b) for a, b in zip(w, v)) < tol:
-            return tuple(w)
-        v = w
-    return tuple(v)
+    return power_iteration(m, [1.0 / d] * d, sum, tol, n_max)[0]
 
 
 def classify_pisot(sigma: Substitution) -> PisotReport:
     """Pisot-type classification of sigma's incidence matrix.
 
     pisot_loose is the literal eigenvalue layout: one simple real eigenvalue
-    > 1, all others of modulus < 1.  pisot_strict additionally requires the
-    characteristic polynomial irreducible over Q, which for a loose report
-    Kronecker's theorem decides (it holds exactly when p(0) != 0).
+    > 1, all others of modulus < 1.  pisot_strict is the PV verdict of the
+    characteristic polynomial: a loose layout with p(0) != 0, which by
+    Kronecker's theorem makes p irreducible over Q.
     """
     m = incidence_matrix(sigma)
     p = char_poly(m)
     primitive = is_primitive(m)
-
-    sf = p.squarefree_part()
-    counts = schur_cohn(sf)
-    loose = False
-    lam = RealApprox(Fraction(0), Fraction(0))
-    if counts.outside == 1 and counts.on_circle == 0:
-        # the outside root must be real and > 1, and simple: not a root of gcd(p, p')
-        lo, hi = Fraction(1), p.cauchy_bound()
-        if (sturm_count(p.coefficients, lo, hi) == 1
-                and sturm_count(p.repeated_part().coefficients, lo, hi) == 0):
-            loose = True
-            lam = dominant_root_interval(sf)
-    irr = irreducible_over_q(p)
-    freqs = perron_frequencies(m) if primitive else ()
+    layout = root_layout(p)
     return PisotReport(
         primitive=primitive,
         char_poly=p,
-        leading_eigenvalue=lam,
-        root_counts=counts,
-        irreducible=irr,
-        pisot_loose=loose,
-        pisot_strict=loose and irr is True,
-        frequencies=freqs,
+        leading_eigenvalue=layout.lam or RealApprox(Fraction(0), Fraction(0)),
+        root_counts=layout.counts,
+        irreducible=irreducible_over_q(p),
+        pisot_loose=layout.lam is not None,
+        pisot_strict=layout.pv,
+        frequencies=perron_frequencies(m) if primitive else (),
     )
 
 

@@ -47,7 +47,7 @@ class Alphabet:
         try:
             return self.symbols.index(symbol)
         except ValueError:
-            raise KeyError(f"symbol {symbol!r} not in alphabet") from None
+            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
     @property
     def multichar(self) -> bool:

@@ -30,6 +30,7 @@ from pisotdyn.algebraic import (
     ratio_limit_check,
     recurrence_term,
     refine_root,
+    root_layout,
     schur_cohn,
     sturm_count,
     wielandt_bound,
@@ -38,6 +39,7 @@ from pisotdyn.algebraic import (
 GOLDEN = IntPolynomial((-1, -1, 1))      # x^2 - x - 1
 PLASTIC = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
 SILVER = IntPolynomial((-1, -2, 1))      # x^2 - 2x - 1
+GOLDEN_RATIO = (1 + 5**0.5) / 2
 
 
 class TestIntPolynomial:
@@ -276,6 +278,81 @@ class TestKronecker:
             assert bound.denominator <= 2**40 and float(bound) == bound
             true_max = _max_conjugate_modulus(p)
             assert true_max <= float(bound) <= true_max + mpmath.mpf(2) ** -40, p
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+# factors with a known layout (inside, on circle, outside): cyclotomic,
+# reciprocal (one non-monic), a Salem quartic with two circle roots, and z
+LAYOUT_FACTORS = [
+    ((1, 1), (0, 1, 0)), ((-1, 1), (0, 1, 0)), ((1, 1, 1), (0, 2, 0)),
+    ((1, -1, 1), (0, 2, 0)), ((1, 0, 1), (0, 2, 0)), ((1, 1, 1, 1, 1), (0, 4, 0)),
+    ((1, 0, -1, 0, 1), (0, 4, 0)), ((1, -4, 1), (1, 0, 1)), ((1, 3, 1), (1, 0, 1)),
+    ((2, -5, 2), (1, 0, 1)), ((1, -1, -1, -1, 1), (1, 2, 1)), ((0, 1), (1, 0, 0)),
+]
+
+
+class TestMoebiusCounts:
+    def test_products_with_circle_and_reciprocal_factors(self):
+        # each random part, counted by mpmath, times three draws of factors
+        rng = random.Random(5)
+        checked = 0
+        while checked < 2000:
+            d = rng.randint(1, 6)
+            part = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(d))
+                                 + (rng.choice((1, -1, 2, 3)),))
+            if not part.is_squarefree():
+                continue
+            moduli = [abs(r) for r in mpmath.polyroots(
+                list(reversed(part.coefficients)), maxsteps=100, extraprec=60)]
+            if any(abs(m - 1) < 1e-6 for m in moduli):
+                continue
+            for _ in range(3):
+                coeffs = part.coefficients
+                expected = [sum(m < 1 for m in moduli), 0, sum(m > 1 for m in moduli)]
+                for factor, layout in rng.sample(LAYOUT_FACTORS, rng.randint(0, 2)):
+                    coeffs = _mul(coeffs, factor)
+                    expected = [a + b for a, b in zip(expected, layout)]
+                try:
+                    c = schur_cohn(IntPolynomial(coeffs))
+                except NotSquarefreeError:  # the part shares a factor
+                    continue
+                assert [c.inside, c.on_circle, c.outside] == expected, coeffs
+                checked += 1
+
+
+class TestRootLayout:
+    def test_non_monic(self):
+        with pytest.raises(ValueError, match="PV certification requires a monic polynomial"):
+            root_layout(IntPolynomial((-1, 2)))
+
+    def test_pv(self):
+        layout = root_layout(IntPolynomial((1, -4, 1)))  # 2 ± sqrt(3)
+        assert layout.pv and layout.lam.contains(Fraction(3732050807568877, 10**15))
+        assert layout.counts == schur_cohn(IntPolynomial((1, -4, 1)))
+
+    def test_roots_at_zero(self):
+        # z (z - 2) and z^2 (z^2 - z - 1): lambda simple, p(0) = 0
+        for coeffs, lam in (((0, -2, 1), 2), ((0, 0, -1, -1, 1), GOLDEN_RATIO)):
+            layout = root_layout(IntPolynomial(coeffs))
+            assert layout.lam.contains(lam) and not layout.pv
+
+    def test_repeated_lambda(self):
+        # (z^2 - z - 1)^2 and z (z - 2)^2
+        for coeffs in ((1, 2, -1, -2, 1), (0, 4, -4, 1)):
+            layout = root_layout(IntPolynomial(coeffs))
+            assert layout.counts.outside == 1 and layout.counts.on_circle == 0
+            assert layout.lam is None and not layout.pv
+
+    def test_outside_root_below_minus_one(self):
+        layout = root_layout(IntPolynomial((1, 4, 1)))  # -2 ± sqrt(3)
+        assert layout.counts.outside == 1 and layout.lam is None and not layout.pv
 
 
 class TestPowerSums:

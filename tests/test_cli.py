@@ -202,6 +202,9 @@ MALFORMED = [
     ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "0", "--format", "json"],
     ["cantor", "represent", "--q", "1/3", "--digits", "-1"],
     ["spacing", "cusps", "--poly", "-1,-1,1", "-n", "3", "--precision-bits", "-1"],
+    ["subst", "{fib}", "fixpoint", "--letter", "7"],
+    ["entropy", "--word", "0121"],
+    ["cantor", "value", "--word", "9"],
 ]
 
 
@@ -259,7 +262,8 @@ def test_small_integers_never_escape(fib_spec, argv, n):
 # stdout digests of the exact-interval outputs, taken before the integer
 # bisection kernel replaced the Fraction one: its intervals must not move;
 # and of long fixed points, iterates and complexity profiles, taken before
-# words became bytes
+# words became bytes; and of root counts and PV layouts with roots on the
+# circle or at 0, taken before one Moebius pass counted every root
 PINNED = [
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
      "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
@@ -275,6 +279,16 @@ PINNED = [
      "dfe8cc1bbcbc525ee73e623c4c416e0fa4648a5e1bc1d4a9b02994e2b89e1e37"),
     (["subst", "{thue_morse}", "iterate", "-k", "18"],
      "ca099fccc52805162d0b0d95772b3bfbda8573d883a9d30ef4a34f41ef59274a"),
+    (["pv", "--poly", "1,1,1,1,1"],
+     "d95a93256ce3fbd1992c0ce630dc331680b7e5f44856fcfa0ca5031881390da0"),
+    (["pv", "--poly", "1,-4,1"],
+     "02e5e95998b513c454a34d0b8ea10eb93263a7cb47f5e166b0c2b53c5973eee1"),
+    (["pv", "--poly", "-1,0,1"],
+     "327e5b4ef1d57a7b71ca8f6c7b72658496ca756bed410c4b79094b8be120aa3b"),
+    (["pv", "--poly", "0,-1,-1,1"],
+     "a64217d0cd6a8db5727099d864632fe77a637692794798079f3b60fe1d56a894"),
+    (["subst", "{thue_morse}", "analyze"],
+     "3a99f511255458f7060cecd7c86d6a1884de33fe0fd0a87f6f8b193ccb7d0259"),
 ]
 
 PINNED_SPECS = {

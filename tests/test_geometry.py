@@ -15,7 +15,7 @@ from pisotdyn.geometry import (
     roots_of_unity,
     substitution_spacing,
 )
-from pisotdyn.substitution import FIBONACCI_SUBST, PELL_SUBST
+from pisotdyn.substitution import FIBONACCI_SUBST, PELL_SUBST, fixed_point_prefix
 
 TAU = (1 + math.sqrt(5)) / 2
 GOLDEN = IntPolynomial((-1, -1, 1))
@@ -138,8 +138,19 @@ class TestCuspCurve:
 
 class TestSubstitutionSpacing:
     def test_agreement_fibonacci(self):
-        angles = substitution_spacing(FIBONACCI_SUBST, TAU % TWO_PI, 1.0, 1000)
-        assert len(angles) == 1000  # internal cross-check did not trip
+        # digit-driven angles (Fibonacci and Pell) against the cumulative
+        # letter-count form theta_k = (c0(k) beta0 + c1(k) beta1) mod 2 pi
+        n, beta1 = 10**5, 1.0
+        for sigma, beta0 in ((FIBONACCI_SUBST, TAU % TWO_PI),
+                             (PELL_SUBST, (1 + math.sqrt(2)) % TWO_PI)):
+            angles = substitution_spacing(sigma, beta0, beta1, n)
+            digits = fixed_point_prefix(sigma, 0, n).prefix(n).letters
+            assert len(angles) == n
+            c1 = 0
+            for k, (theta, d) in enumerate(zip(angles.angles, digits), start=1):
+                c1 += d
+                diff = abs(theta - ((k - c1) * beta0 + c1 * beta1) % TWO_PI)
+                assert min(diff, TWO_PI - diff) <= 1e-9, (sigma, k)
 
     def test_pell(self):
         angles = substitution_spacing(PELL_SUBST, (1 + math.sqrt(2)) % TWO_PI, 1.0, 500)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, recurrence_term
+from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, is_pv, recurrence_term
 from pisotdyn.substitution import (
     FIBONACCI_SUBST,
     PADOVAN_SUBST,
@@ -238,6 +238,22 @@ class TestClassify:
         assert rep.char_poly.coefficients == (1, 2, -1, -2, 1)
         assert rep.pisot_loose is False and rep.pisot_strict is False
         assert rep.irreducible is False
+
+    def test_strict_is_the_pv_verdict(self):
+        rng = random.Random(3)
+        letters = "0123"
+        loose = strict = 0
+        for _ in range(300):
+            ab = Alphabet(tuple(letters[: rng.randint(2, 4)]))
+            rules = {a: "".join(rng.choice(ab.symbols) for _ in range(rng.randint(1, 3)))
+                     for a in ab.symbols}
+            rep = classify_pisot(Substitution.from_rules(ab, rules))
+            p = rep.char_poly
+            assert rep.pisot_strict == (rep.pisot_loose and p.coefficients[0] != 0)
+            assert rep.pisot_strict == is_pv(p)
+            loose += rep.pisot_loose
+            strict += rep.pisot_strict
+        assert 0 < strict < loose < 300
 
     def test_padovan_strict(self):
         rep = classify_pisot(PADOVAN_SUBST)

@@ -42,7 +42,7 @@ class TestAlphabet:
     def test_lex(self):
         ab = Alphabet(("x", "y", "z"))
         assert [ab.lex(s) for s in "xyz"] == [0, 1, 2]
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             ab.lex("w")
 
     def test_at_most_256_symbols(self):
