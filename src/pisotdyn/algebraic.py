@@ -9,9 +9,10 @@ rationals; floating point only ever appears in reported intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
+
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +133,19 @@ class NotSquarefreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial, constant term first."""
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
 
-    def __post_init__(self):
-        c = _trim(self.coefficients)
+    def __init__(self, coefficients):
+        c = _trim(coefficients)
         if any(x != int(x) for x in c):
             raise ValueError("coefficients must be integers")
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in c))
-        if self.coefficients[-1] == 0 and len(self.coefficients) > 1:
+        c = tuple(int(x) for x in c)
+        if c[-1] == 0 and len(c) > 1:
             raise ValueError("leading coefficient must be nonzero")
+        object.__setattr__(self, "coefficients", c)
 
     @property
     def degree(self) -> int:
@@ -223,12 +224,11 @@ def _from_frac_poly(c) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # IntMatrix and characteristic polynomial
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple  # tuple of row tuples
+class IntMatrix(Record):
+    __slots__ = _fields = ("entries",)  # tuple of row tuples
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries):
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "entries", rows)
@@ -323,11 +323,13 @@ def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
 # ---------------------------------------------------------------------------
 # root counting relative to the unit circle
 
-@dataclass(frozen=True)
-class RootCount:
-    inside: int
-    on_circle: int
-    outside: int
+class RootCount(Record):
+    __slots__ = _fields = ("inside", "on_circle", "outside")
+
+    def __init__(self, inside: int, on_circle: int, outside: int):
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "on_circle", on_circle)
+        object.__setattr__(self, "outside", outside)
 
     @property
     def degree(self) -> int:
@@ -441,7 +443,7 @@ def _rational_roots(p: IntPolynomial):
                     yield r
 
 
-def irreducible_over_q(p: IntPolynomial) -> Optional[bool]:
+def irreducible_over_q(p: IntPolynomial) -> bool | None:
     """True/False when decided; None above degree 3 when the root layout
     does not decide it.
 
@@ -469,16 +471,16 @@ def irreducible_over_q(p: IntPolynomial) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 # PV certification and isolated leading roots
 
-@dataclass(frozen=True)
-class RealApprox:
+class RealApprox(Record):
     """A certified rational interval [lower, upper]."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction):
+        if lower > upper:
             raise ValueError("lower > upper")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def width(self) -> Fraction:
@@ -581,8 +583,7 @@ def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox
     return root.approx()
 
 
-@dataclass(frozen=True)
-class RootLayout:
+class RootLayout(Record):
     """Where the roots of a monic integer polynomial p lie.
 
     counts: schur_cohn counts of p's squarefree part.
@@ -591,9 +592,12 @@ class RootLayout:
     pv: lam is not None and p(0) != 0.
     """
 
-    counts: RootCount
-    lam: Optional[RealApprox]
-    pv: bool
+    __slots__ = _fields = ("counts", "lam", "pv")
+
+    def __init__(self, counts: RootCount, lam: RealApprox | None, pv: bool):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "pv", pv)
 
 
 def root_layout(p: IntPolynomial) -> RootLayout:
@@ -721,18 +725,16 @@ def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
 # ---------------------------------------------------------------------------
 # linear recurrences
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Record):
     """f_n = sum c_k f_{n-k}, exact big integers."""
 
-    coefficients: tuple  # c_1 .. c_d
-    initial: tuple       # f_0 .. f_{d-1}
+    __slots__ = _fields = ("coefficients", "initial")  # c_1 .. c_d; f_0 .. f_{d-1}
 
-    def __post_init__(self):
-        if len(self.coefficients) < 1 or len(self.coefficients) != len(self.initial):
+    def __init__(self, coefficients, initial):
+        if len(coefficients) < 1 or len(coefficients) != len(initial):
             raise ValueError("order must be >= 1 and match the initial terms")
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
-        object.__setattr__(self, "initial", tuple(int(c) for c in self.initial))
+        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
+        object.__setattr__(self, "initial", tuple(int(c) for c in initial))
 
     @property
     def order(self) -> int:

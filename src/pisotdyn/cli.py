@@ -3,16 +3,18 @@
 Subcommands: subst, entropy, spacing, pv, hiller, cantor, quantum.
 Every run is fully determined by its flags; identical invocations produce
 byte-identical output (JSON keys sorted, angles at 12 significant digits).
+Bad input ends in one closing `Error:` line on stderr: exit code 2 for a
+malformed command line, 1 for input the library rejects.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import algebraic, crystal, geometry, quantum, words
 from .algebraic import IntPolynomial
@@ -26,22 +28,32 @@ from .substitution import (
 )
 
 TAU = (1 + math.sqrt(5)) / 2
-RHO = float(
-    algebraic.dominant_root_interval(
-        IntPolynomial((-1, -1, 0, 1)), Fraction(1, 10**15)
-    ).midpoint
-)
-
-_NAMED_ANGLES = {"tau": TAU, "rho": RHO, "pi": math.pi}
 
 
-def _parse_angle(text: str) -> float:
-    if text in _NAMED_ANGLES:
-        return _NAMED_ANGLES[text] % (2 * math.pi)
-    try:
-        return float(text) % (2 * math.pi)
-    except ValueError:
-        raise click.BadParameter(f"not an angle or named constant: {text!r}")
+class UsageError(Exception):
+    """A malformed command line: exit code 2."""
+
+
+def _parse_angle(option: str, text: str) -> float:
+    if text == "tau":
+        value = TAU
+    elif text == "pi":
+        value = math.pi
+    elif text == "rho":
+        # the plastic number takes a root isolation, so only when it is named
+        value = float(
+            algebraic.dominant_root_interval(
+                IntPolynomial((-1, -1, 0, 1)), Fraction(1, 10**15)
+            ).midpoint
+        )
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise UsageError(
+                f"invalid value for {option}: not an angle or named constant: {text!r}"
+            ) from None
+    return value % (2 * math.pi)
 
 
 def _parse_poly(text: str) -> IntPolynomial:
@@ -49,15 +61,15 @@ def _parse_poly(text: str) -> IntPolynomial:
         coeffs = tuple(int(t) for t in text.split(","))
         return IntPolynomial(coeffs)
     except ValueError as e:
-        raise click.BadParameter(f"bad polynomial {text!r}: {e}")
+        raise UsageError(f"invalid value for --poly: bad polynomial {text!r}: {e}") from None
 
 
 def _load_subst(path: str) -> Substitution:
     try:
         with open(path) as fh:
             return Substitution.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as e:
-        raise click.ClickException(f"bad substitution spec {path}: {e}")
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"bad substitution spec {path}: {e}") from e
 
 
 def _emit(text: str, out):
@@ -65,113 +77,75 @@ def _emit(text: str, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
-
-
-class _Main(click.Group):
-    """The one error boundary: a ValueError from the library ends the run
-    in a single `Error:` line with exit code 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as e:
-            raise click.ClickException(str(e)) from e
-
-
-@click.group(cls=_Main)
-def main():
-    """Substitution dynamical systems of Pisot type."""
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.argument("spec_path")
-@click.argument("action", type=click.Choice(["show", "iterate", "fixpoint", "analyze"]))
-@click.option("--letter", default=None, help="starting letter (default: first)")
-@click.option("-k", "--power", default=3, type=int, help="iteration count")
-@click.option("-L", "--length", default=100, type=int, help="prefix length")
-@click.option("--out", default=None)
-def subst(spec_path, action, letter, power, length, out):
+def subst(args):
     """Show, iterate or analyze a substitution spec file."""
-    sigma = _load_subst(spec_path)
-    a = sigma.alphabet.lex(letter) if letter else 0
-    if action == "show":
-        _emit(sigma.to_json(), out)
-    elif action == "iterate":
-        _emit(str(iterate(sigma, a, power)), out)
-    elif action == "fixpoint":
+    sigma = _load_subst(args.spec_path)
+    a = sigma.alphabet.lex(args.letter) if args.letter else 0
+    if args.action == "show":
+        _emit(sigma.to_json(), args.out)
+    elif args.action == "iterate":
+        _emit(str(iterate(sigma, a, args.power)), args.out)
+    elif args.action == "fixpoint":
         try:
-            stream = fixed_point_prefix(sigma, a, length)
+            stream = fixed_point_prefix(sigma, a, args.length)
         except FixedPointError as e:
             hint = (
                 f" (try --power {e.suggested_power} of the substitution)"
                 if e.suggested_power
                 else ""
             )
-            raise click.ClickException(str(e) + hint)
-        _emit(str(stream.prefix(length)), out)
+            raise ValueError(str(e) + hint) from None
+        _emit(str(stream.prefix(args.length)), args.out)
     else:
         report = classify_pisot(sigma)
-        _emit(json.dumps(report.to_dict(), sort_keys=True), out)
+        _emit(json.dumps(report.to_dict(), sort_keys=True), args.out)
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.option("--spec", "spec_path", default=None, help="substitution spec file")
-@click.option("--word", "raw_word", default=None, help="raw word (binary digits etc.)")
-@click.option("--alphabet", default="01", help="symbols for --word input")
-@click.option("--n-max", default=50, type=int)
-@click.option("--prefix-len", default=1000, type=int)
-@click.option("--out", default=None)
-def entropy(spec_path, raw_word, alphabet, n_max, prefix_len, out):
-    """Complexity/entropy profile as CSV (n, p_n, entropy, sturmian flag)."""
-    if (spec_path is None) == (raw_word is None):
-        raise click.UsageError("provide exactly one of --spec / --word")
-    if spec_path:
-        sigma = _load_subst(spec_path)
-        w = fixed_point_prefix(sigma, 0, prefix_len).prefix(prefix_len)
+def entropy(args):
+    """Complexity/entropy profile as CSV (n, p_n, entropy, sturmian)."""
+    if (args.spec_path is None) == (args.raw_word is None):
+        raise UsageError("provide exactly one of --spec / --word")
+    n_max = args.n_max
+    if args.spec_path:
+        sigma = _load_subst(args.spec_path)
+        w = fixed_point_prefix(sigma, 0, args.prefix_len).prefix(args.prefix_len)
     else:
-        ab = words.Alphabet(tuple(alphabet))
-        w = ab.word(raw_word)
+        ab = words.Alphabet(tuple(args.alphabet))
+        w = ab.word(args.raw_word)
     if n_max > len(w):
-        raise click.ClickException("prefix shorter than n-max")
+        raise ValueError("prefix shorter than n-max")
     profile = words.complexity_profile(w, n_max)
     lines = ["n,p_n,entropy_estimate,sturmian"]
     for n in range(1, n_max + 1):
         p_n = profile.values[n - 1]
         est = words.entropy_from_count(p_n, w.alphabet.size, n)
         lines.append(f"{n},{p_n},{fmt12(est)},{str(p_n == n + 1).lower()}")
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.argument("mode", type=click.Choice(["roots", "cusps", "drive"]))
-@click.option("-n", "--count", default=5, type=int, help="petals / points")
-@click.option("--poly", default=None, help="PV polynomial, constant-first")
-@click.option("--spec", "spec_path", default=None)
-@click.option("--beta0", default="tau")
-@click.option("--beta1", default="1.0")
-@click.option("--format", "fmt", type=click.Choice(["csv", "svg", "json"]), default="csv")
-@click.option("--precision-bits", default=128, type=int)
-@click.option("--out", default=None)
-def spacing(mode, count, poly, spec_path, beta0, beta1, fmt, precision_bits, out):
+def spacing(args):
     """Circle spacing runs: roots of unity, PV cusp curves, digit-driven."""
-    if mode == "roots":
-        angles = geometry.roots_of_unity(count)
-    elif mode == "cusps":
-        if poly is None:
-            raise click.UsageError("cusps mode needs --poly")
-        angles = geometry.cusp_curve(_parse_poly(poly), count, precision_bits)
+    if args.mode == "roots":
+        angles = geometry.roots_of_unity(args.count)
+    elif args.mode == "cusps":
+        if args.poly is None:
+            raise UsageError("cusps mode needs --poly")
+        angles = geometry.cusp_curve(_parse_poly(args.poly), args.count, args.precision_bits)
     else:
-        if spec_path is None:
-            raise click.UsageError("drive mode needs --spec")
-        sigma = _load_subst(spec_path)
+        if args.spec_path is None:
+            raise UsageError("drive mode needs --spec")
+        sigma = _load_subst(args.spec_path)
         angles = geometry.substitution_spacing(
-            sigma, _parse_angle(beta0), _parse_angle(beta1), count
+            sigma, _parse_angle("--beta0", args.beta0), _parse_angle("--beta1", args.beta1),
+            args.count,
         )
-    _emit_angles(angles, fmt, out, cusp=(mode == "cusps"))
+    _emit_angles(angles, args.fmt, args.out, cusp=(args.mode == "cusps"))
 
 
 def _emit_angles(angles, fmt, out, cusp=False):
@@ -197,12 +171,9 @@ def _emit_angles(angles, fmt, out, cusp=False):
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.option("--poly", required=True, help="monic polynomial, constant-first")
-@click.option("--out", default=None)
-def pv(poly, out):
+def pv(args):
     """Pisot-Vijayaraghavan certification with exact root counts."""
-    p = _parse_poly(poly)
+    p = _parse_poly(args.poly)
     layout = algebraic.root_layout(p)
     counts = layout.counts
     report = {
@@ -219,84 +190,224 @@ def pv(poly, out):
     }
     if layout.pv:
         report["leading_root"] = [fmt12(float(layout.lam.lower)), fmt12(float(layout.lam.upper))]
-    _emit(json.dumps(report, sort_keys=True), out)
+    _emit(json.dumps(report, sort_keys=True), args.out)
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.argument("n", required=False, type=int)
-@click.option("--table", default=None, type=int, help="print the table up to N")
-@click.option("--allowed", default=None, type=int, help="orders allowed in dimension d")
-@click.option("--n-max", default=36, type=int)
-@click.option("--out", default=None)
-def hiller(n, table, allowed, n_max, out):
+def hiller(args):
     """Hiller's crystallographic-order function."""
-    if table is not None:
-        lines = ["n Hil(n)"] + [f"{k} {h}" for k, h in crystal.hiller_table(table)]
-        _emit("\n".join(lines) + "\n", out)
-    elif allowed is not None:
-        orders = sorted(crystal.allowed_orders(allowed, n_max))
-        _emit(json.dumps({"schema": 1, "dimension": allowed, "orders": orders}), out)
-    elif n is not None:
-        _emit(str(crystal.hiller(n)), out)
+    if args.table is not None:
+        lines = ["n Hil(n)"] + [f"{k} {h}" for k, h in crystal.hiller_table(args.table)]
+        _emit("\n".join(lines) + "\n", args.out)
+    elif args.allowed is not None:
+        orders = sorted(crystal.allowed_orders(args.allowed, args.n_max))
+        _emit(json.dumps({"schema": 1, "dimension": args.allowed, "orders": orders}), args.out)
+    elif args.n is not None:
+        _emit(str(crystal.hiller(args.n)), args.out)
     else:
-        raise click.UsageError("give N, --table N or --allowed D")
+        raise UsageError("give N, --table N or --allowed D")
 
 
 # ---------------------------------------------------------------------------
-@main.command()
-@click.argument("action", type=click.Choice(["dim", "value", "represent", "function"]))
-@click.option("--alphabet-size", default=3, type=int)
-@click.option("--excluded", default=1, type=int)
-@click.option("--word", "raw_word", default=None)
-@click.option("--q", default=None, help="rational p/q in [0,1]")
-@click.option("--digits", default=12, type=int)
-@click.option("--out", default=None)
-def cantor(action, alphabet_size, excluded, raw_word, q, digits, out):
+def cantor(args):
     """Generalized Cantor sets: dimension, value map, representation,
     Cantor function (exact fractions)."""
-    ab = words.Alphabet(tuple(str(i) for i in range(alphabet_size)))
-    spec = crystal.CantorSpec(ab, excluded)
-    if action == "dim":
-        _emit(fmt12(crystal.hausdorff_dimension(spec)), out)
-    elif action == "value":
-        if raw_word is None:
-            raise click.UsageError("value needs --word")
-        v = crystal.numeric_value(ab, ab.word(raw_word))
-        _emit(f"{v.numerator}/{v.denominator}", out)
-    elif action == "represent":
-        if q is None:
-            raise click.UsageError("represent needs --q")
-        _emit(str(crystal.representation(ab, Fraction(q), digits)), out)
+    ab = words.Alphabet(tuple(str(i) for i in range(args.alphabet_size)))
+    spec = crystal.CantorSpec(ab, args.excluded)
+    if args.action == "dim":
+        _emit(fmt12(crystal.hausdorff_dimension(spec)), args.out)
+    elif args.action == "value":
+        if args.raw_word is None:
+            raise UsageError("value needs --word")
+        v = crystal.numeric_value(ab, ab.word(args.raw_word))
+        _emit(f"{v.numerator}/{v.denominator}", args.out)
+    elif args.action == "represent":
+        if args.q is None:
+            raise UsageError("represent needs --q")
+        try:
+            q = Fraction(args.q)
+        except ZeroDivisionError:
+            raise ValueError(f"q has denominator 0: {args.q!r}") from None
+        _emit(str(crystal.representation(ab, q, args.digits)), args.out)
     else:
-        if raw_word is None:
-            raise click.UsageError("function needs --word")
-        v = crystal.cantor_function_value(spec, ab.word(raw_word))
-        _emit(f"{v.numerator}/{v.denominator}", out)
+        if args.raw_word is None:
+            raise UsageError("function needs --word")
+        v = crystal.cantor_function_value(spec, ab.word(args.raw_word))
+        _emit(f"{v.numerator}/{v.denominator}", args.out)
 
 
 # ---------------------------------------------------------------------------
-@main.command("quantum")
-@click.option("--spec", "spec_path", required=True)
-@click.option("--beta0", default="tau")
-@click.option("--beta1", default="1.0")
-@click.option("-N", "--steps", default=1000, type=int)
-@click.option("--seed", required=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["csv", "svg", "json"]), default="csv")
-@click.option("--out", default=None)
-def quantum_cmd(spec_path, beta0, beta1, steps, seed, fmt, out):
+def quantum_cmd(args):
     """Measurement-driven spacing simulation (seed required)."""
-    sigma = _load_subst(spec_path)
+    sigma = _load_subst(args.spec_path)
     run = quantum.quantum_spacing_simulate(
-        sigma, _parse_angle(beta0), _parse_angle(beta1), steps, seed
+        sigma, _parse_angle("--beta0", args.beta0), _parse_angle("--beta1", args.beta1),
+        args.steps, args.seed,
     )
-    if fmt == "json":
+    if args.fmt == "json":
         payload = json.loads(run.manifest_json())
         payload["letter_rates"] = [fmt12(r) for r in run.letter_rates]
-        _emit(json.dumps(payload, sort_keys=True), out)
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        _emit_angles(run.angles, fmt, out)
+        _emit_angles(run.angles, args.fmt, args.out)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+class _Parser(argparse.ArgumentParser):
+    """A parser with only a `--help` option, no abbreviated options, and
+    usage errors raised as UsageError for main to report.  It records the
+    option strings that take a value in `value_options`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.value_options = set()
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+_FORMATS = ("csv", "svg", "json")
+
+
+def _parser(prog: str):
+    """The top-level parser and its subcommand parsers by name."""
+    parser = _Parser(prog=prog, description="Substitution dynamical systems of Pisot type.")
+    subparsers = parser.add_subparsers(
+        title="commands", dest="command", metavar="COMMAND", required=True
+    )
+    commands = {}
+
+    def command(run, name=None):
+        name = name or run.__name__
+        doc = run.__doc__
+        commands[name] = p = subparsers.add_parser(
+            name, help=" ".join(doc.split()), description=doc, prog=f"{prog} {name}"
+        )
+        p.set_defaults(run=run)
+        return p
+
+    p = command(subst)
+    p.add_argument("spec_path", metavar="SPEC_PATH")
+    p.add_argument("action", choices=("show", "iterate", "fixpoint", "analyze"))
+    p.add_argument("--letter", help="starting letter (default: first)")
+    p.add_argument("-k", "--power", type=int, default=3, help="iteration count")
+    p.add_argument("-L", "--length", type=int, default=100, help="prefix length")
+    p.add_argument("--out")
+
+    p = command(entropy)
+    p.add_argument("--spec", dest="spec_path", help="substitution spec file")
+    p.add_argument("--word", dest="raw_word", help="raw word (binary digits etc.)")
+    p.add_argument("--alphabet", default="01", help="symbols for --word input")
+    p.add_argument("--n-max", type=int, default=50)
+    p.add_argument("--prefix-len", type=int, default=1000)
+    p.add_argument("--out")
+
+    p = command(spacing)
+    p.add_argument("mode", choices=("roots", "cusps", "drive"))
+    p.add_argument("-n", "--count", type=int, default=5, help="petals / points")
+    p.add_argument("--poly", help="PV polynomial, constant-first")
+    p.add_argument("--spec", dest="spec_path")
+    p.add_argument("--beta0", default="tau")
+    p.add_argument("--beta1", default="1.0")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="csv")
+    p.add_argument("--precision-bits", type=int, default=128)
+    p.add_argument("--out")
+
+    p = command(pv)
+    p.add_argument("--poly", required=True, help="monic polynomial, constant-first")
+    p.add_argument("--out")
+
+    p = command(hiller)
+    p.add_argument("n", nargs="?", type=int)
+    p.add_argument("--table", type=int, help="print the table up to N")
+    p.add_argument("--allowed", type=int, help="orders allowed in dimension d")
+    p.add_argument("--n-max", type=int, default=36)
+    p.add_argument("--out")
+
+    p = command(cantor)
+    p.add_argument("action", choices=("dim", "value", "represent", "function"))
+    p.add_argument("--alphabet-size", type=int, default=3)
+    p.add_argument("--excluded", type=int, default=1)
+    p.add_argument("--word", dest="raw_word")
+    p.add_argument("--q", help="rational p/q in [0,1]")
+    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--out")
+
+    p = command(quantum_cmd, "quantum")
+    p.add_argument("--spec", dest="spec_path", required=True)
+    p.add_argument("--beta0", default="tau")
+    p.add_argument("--beta1", default="1.0")
+    p.add_argument("-N", "--steps", type=int, default=1000)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--format", dest="fmt", choices=_FORMATS, default="csv")
+    p.add_argument("--out")
+    return parser, commands
+
+
+# argparse's test for a token that is a negative number, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _attach_values(argv: list, parser: _Parser) -> list:
+    """argv with each option's value attached as `--option=value`.
+
+    An option takes the next token as its value even when it starts with
+    `-` (`--poly -1,-1,0,1`, `--beta1 -0.5`), which argparse alone would
+    read as an option.  A token that is not a value and looks like a
+    negative number is an unknown option, unless it follows `--`.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            out.append(token)
+            out.extend(tokens)
+        elif token in parser.value_options:
+            value = next(tokens, None)
+            out.append(token if value is None else f"{token}={value}")
+        elif _NEGATIVE_NUMBER.match(token):
+            parser.error(f"no such option: {token}")
+        else:
+            out.append(token)
+    return out
+
+
+def main(args=None, prog_name=None):
+    """Run one command on `args` (default: sys.argv[1:]) and exit: code 0,
+    1 when the library rejects the input (a ValueError, a bad spec file, a
+    file that cannot be written) or 2 for a malformed command line.  An
+    error ends in one `Error:` line on stderr."""
+    parser, commands = _parser(prog_name or "pisotdyn")
+    argv = sys.argv[1:] if args is None else list(args)
+    try:
+        if argv and argv[0] in commands:
+            argv[1:] = _attach_values(argv[1:], commands[argv[0]])
+        ns = parser.parse_args(argv)
+        ns.run(ns)
+    except UsageError as e:
+        code, error = 2, e
+    except (ValueError, OSError) as e:
+        code, error = 1, e
+    else:
+        sys.exit(0)
+    print(f"Error: {error}", file=sys.stderr)
+    sys.exit(code)
+
+
+# perfbench/shim.py calls main.main(args=..., prog_name=...), the form of
+# the click command that main used to be
+main.main = main
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -5,9 +5,9 @@ alphabet transitions, Hausdorff dimension and Cantor function values."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 from .words import Alphabet, Word
 
 MAX_N = 2**63 - 1
@@ -167,14 +167,14 @@ def alphabet_transition(a1: Alphabet, a2: Alphabet, prefix: Word, digits: int):
 # ---------------------------------------------------------------------------
 # generalized Cantor sets
 
-@dataclass(frozen=True)
-class CantorSpec:
-    alphabet: Alphabet
-    excluded: int  # letter index removed from A
+class CantorSpec(Record):
+    __slots__ = _fields = ("alphabet", "excluded")  # excluded: letter index removed from A
 
-    def __post_init__(self):
-        if not 0 <= self.excluded < self.alphabet.size:
+    def __init__(self, alphabet: Alphabet, excluded: int):
+        if not 0 <= excluded < alphabet.size:
             raise ValueError("excluded letter out of range")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "excluded", excluded)
 
     @property
     def interior(self) -> bool:

@@ -5,24 +5,23 @@ curves and substitution-driven spacing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebraic import IntPolynomial, RootBracket, dominant_root_interval, is_pv
+from .record import Record
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class AngleList:
+class AngleList(Record):
     """Angles in [0, 2*pi), radians, in presentation order."""
 
-    angles: tuple
+    __slots__ = _fields = ("angles",)
 
-    def __post_init__(self):
-        a = tuple(float(x) for x in self.angles)
+    def __init__(self, angles):
+        a = tuple(float(x) for x in angles)
         if any(not 0.0 <= x < TWO_PI for x in a):
             raise ValueError("angles must lie in [0, 2*pi)")
         object.__setattr__(self, "angles", a)
@@ -103,13 +102,16 @@ def cyclotomic_sum(n: int) -> complex:
     return complex(z.sum())
 
 
-@dataclass(frozen=True)
-class GapStats:
-    mean: float
-    variance: float
-    min_gap: float
-    max_gap: float
-    distinct_gaps: int
+class GapStats(Record):
+    __slots__ = _fields = ("mean", "variance", "min_gap", "max_gap", "distinct_gaps")
+
+    def __init__(self, mean: float, variance: float, min_gap: float, max_gap: float,
+                 distinct_gaps: int):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "min_gap", min_gap)
+        object.__setattr__(self, "max_gap", max_gap)
+        object.__setattr__(self, "distinct_gaps", distinct_gaps)
 
 
 def gap_statistics(a: AngleList, tolerance: float = 1e-9) -> GapStats:

@@ -7,22 +7,28 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 
 from .algebraic import IntMatrix, is_primitive, power_iteration
 from .geometry import TWO_PI, AngleList
+from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
 from .words import Alphabet, Word, complexity
 
 SUPPORT_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Finite complex superposition of words (orthonormal basis labels)."""
+class QuantumState(Record):
+    """Finite complex superposition of words (orthonormal basis labels).
 
-    amplitudes: tuple  # ((Word, complex), ...) sorted by letter tuple
-    renormalized: bool = False  # set when a non-injective relabeling collided
+    amplitudes: ((Word, complex), ...) sorted by letter tuple.
+    renormalized: set when a non-injective relabeling collided.
+    """
+
+    __slots__ = _fields = ("amplitudes", "renormalized")
+
+    def __init__(self, amplitudes: tuple, renormalized: bool = False):
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "renormalized", renormalized)
 
     @classmethod
     def from_dict(cls, amps: dict, renormalized: bool = False) -> "QuantumState":
@@ -35,9 +41,6 @@ class QuantumState:
         items = tuple(sorted(amps.items(), key=lambda kv: kv[0].letters))
         return cls(items, renormalized)
 
-    def as_dict(self) -> dict:
-        return dict(self.amplitudes)
-
     @property
     def support(self):
         return [w for w, _ in self.amplitudes]
@@ -47,9 +50,6 @@ class QuantumState:
             if word.letters == w.letters:
                 return a
         return 0j
-
-    def serialize(self) -> list:
-        return [[str(w), a.real, a.imag] for w, a in self.amplitudes]
 
 
 def basis_state(w: Word) -> QuantumState:
@@ -125,11 +125,18 @@ def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
 # ---------------------------------------------------------------------------
 # measurement-driven spacing (the classical simulation of the procedure)
 
-@dataclass
-class SpacingRun:
-    angles: AngleList
-    outcomes: tuple
-    manifest: dict
+class SpacingRun(Record):
+    """The result of a measurement-driven run; mutable and unhashable."""
+
+    __slots__ = _fields = ("angles", "outcomes", "manifest")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, angles: AngleList, outcomes: tuple, manifest: dict):
+        self.angles = angles
+        self.outcomes = outcomes
+        self.manifest = manifest
 
     @property
     def letter_rates(self) -> tuple:

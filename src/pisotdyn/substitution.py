@@ -4,10 +4,8 @@ Pisot-type classification report."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
 
 from .algebraic import (
     IntMatrix,
@@ -21,6 +19,7 @@ from .algebraic import (
     power_iteration,
     root_layout,
 )
+from .record import Record
 from .words import Alphabet, PrefixStream, Word, entropy_estimate
 
 
@@ -28,25 +27,24 @@ class FixedPointError(ValueError):
     """Raised when sigma(a) does not begin with a; carries the smallest
     power p <= |A|+1 (if any) such that sigma^p(a) starts with a."""
 
-    def __init__(self, message, suggested_power: Optional[int] = None):
+    def __init__(self, message, suggested_power: int | None = None):
         super().__init__(message)
         self.suggested_power = suggested_power
 
 
-@dataclass(frozen=True)
-class Substitution:
-    alphabet: Alphabet
-    rules: tuple  # one Word per letter, lex order
+class Substitution(Record):
+    __slots__ = _fields = ("alphabet", "rules")  # rules: one Word per letter, lex order
 
-    def __post_init__(self):
-        if len(self.rules) != self.alphabet.size:
+    def __init__(self, alphabet: Alphabet, rules):
+        if len(rules) != alphabet.size:
             raise ValueError("rules must cover every letter exactly once")
-        for w in self.rules:
-            if w.alphabet != self.alphabet:
+        for w in rules:
+            if w.alphabet != alphabet:
                 raise ValueError("rule image over a different alphabet")
             if len(w) == 0:
                 raise ValueError("rule images must be nonempty")
-        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rules", tuple(rules))
 
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rule_map: dict) -> "Substitution":
@@ -73,9 +71,6 @@ class Substitution:
                 },
             }
         )
-
-    def image(self, letter: int) -> Word:
-        return self.rules[letter]
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self after other: (self.compose(other))(a) = self(other(a))."""
@@ -172,16 +167,21 @@ def fixed_point_prefix(sigma: Substitution, letter: int, length: int) -> PrefixS
     return PrefixStream(sigma.alphabet, _images(sigma), letter)
 
 
-@dataclass(frozen=True)
-class PisotReport:
-    primitive: bool
-    char_poly: IntPolynomial
-    leading_eigenvalue: RealApprox
-    root_counts: RootCount
-    irreducible: Optional[bool]
-    pisot_loose: bool
-    pisot_strict: bool
-    frequencies: tuple  # per-letter floats summing to ~1 (empty if not primitive)
+class PisotReport(Record):
+    # no __slots__: conjugate_moduli_bound caches in __dict__
+    _fields = ("primitive", "char_poly", "leading_eigenvalue", "root_counts",
+               "irreducible", "pisot_loose", "pisot_strict", "frequencies")
+
+    def __init__(self, primitive: bool, char_poly: IntPolynomial,
+                 leading_eigenvalue: RealApprox, root_counts: RootCount,
+                 irreducible: bool | None, pisot_loose: bool, pisot_strict: bool,
+                 frequencies: tuple):
+        # frequencies: per-letter floats summing to ~1 (empty if not primitive)
+        vars(self).update(
+            primitive=primitive, char_poly=char_poly, leading_eigenvalue=leading_eigenvalue,
+            root_counts=root_counts, irreducible=irreducible, pisot_loose=pisot_loose,
+            pisot_strict=pisot_strict, frequencies=frequencies,
+        )
 
     @cached_property
     def conjugate_moduli_bound(self) -> RealApprox:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import log, log2
+
+from .record import Record
 
 MAX_ALPHABET_SIZE = 256  # one byte per letter
 
@@ -23,14 +24,13 @@ class AlphabetMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Ordered distinct printable tokens; lex(a) is the position."""
 
-    symbols: tuple
+    _fields = ("symbols",)  # no __slots__: _ascii_table caches in __dict__
 
-    def __post_init__(self):
-        syms = tuple(str(s) for s in self.symbols)
+    def __init__(self, symbols):
+        syms = tuple(str(s) for s in symbols)
         if len(syms) < 2:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(syms) > MAX_ALPHABET_SIZE:
@@ -76,29 +76,28 @@ BINARY = Alphabet(("0", "1"))
 TERNARY = Alphabet(("0", "1", "2"))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Finite sequence of letter indices over an Alphabet, one byte each.
 
     `bytes` and `bytearray` letters are taken as they are; any other
     iterable is read through int() per item.
     """
 
-    alphabet: Alphabet
-    letters: bytes
+    __slots__ = _fields = ("alphabet", "letters")
 
-    def __post_init__(self):
-        size = self.alphabet.size
-        if isinstance(self.letters, (bytes, bytearray)):
-            ls = bytes(self.letters)
+    def __init__(self, alphabet: Alphabet, letters: bytes):
+        size = alphabet.size
+        if isinstance(letters, (bytes, bytearray)):
+            ls = bytes(letters)
             # deleting every valid letter leaves only the out-of-range ones
             if ls.translate(None, bytes(range(size))):
                 raise ValueError("letter index out of range")
         else:
-            ints = [int(x) for x in self.letters]
+            ints = [int(x) for x in letters]
             if ints and not (0 <= min(ints) and max(ints) < size):
                 raise ValueError("letter index out of range")
             ls = bytes(ints)
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", ls)
 
     def __len__(self) -> int:
@@ -159,10 +158,12 @@ def complexity(prefix: Word, n: int) -> int:
     return complexity_profile(prefix, n).values[-1]
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
-    values: tuple  # p_1 .. p_N
-    prefix_length: int
+class ComplexityProfile(Record):
+    __slots__ = _fields = ("values", "prefix_length")  # values: p_1 .. p_N
+
+    def __init__(self, values: tuple, prefix_length: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "prefix_length", prefix_length)
 
     def entropy(self, base_size: int, n: int) -> float:
         return entropy_from_count(self.values[n - 1], base_size, n)

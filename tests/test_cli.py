@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,40 @@ PELL_SPEC = '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "001"}}'
 PADOVAN_SPEC = '{"alphabet": ["0", "1", "2"], "rules": {"0": "12", "1": "2", "2": "0"}}'
 
 
+class Result:
+    def __init__(self, exit_code, stdout_bytes, stderr_bytes, exception):
+        self.exit_code = exit_code
+        self.stdout_bytes = stdout_bytes
+        self.stdout = stdout_bytes.decode()
+        self.stderr = stderr_bytes.decode()
+        self.output = self.stdout + self.stderr
+        self.exception = exception  # the SystemExit of a non-zero exit, or what escaped
+
+
+class Runner:
+    """Runs the CLI in process with stdout and stderr captured as bytes."""
+
+    def invoke(self, cli, args):
+        out, err = io.BytesIO(), io.BytesIO()
+        stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")
+        stderr = io.TextIOWrapper(err, encoding="utf-8", newline="")
+        exit_code, exception = 0, None
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                cli.main(args=args, prog_name="pisotdyn")
+        except SystemExit as e:
+            exit_code = e.code
+            exception = e if e.code else None
+        except Exception as e:
+            exit_code, exception = 1, e
+        stdout.flush()
+        stderr.flush()
+        return Result(exit_code, out.getvalue(), err.getvalue(), exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.fixture
@@ -191,20 +223,33 @@ class TestDeterminism:
             assert a.exit_code == 0 and a.output == b.output
 
 
-# bad input ends in one closing `Error:` line and exit code 1 or 2
+# bad input ends in one closing `Error:` line, with exit code 2 for a
+# malformed command line and 1 for input the library rejects; the codes are
+# those of the click front end the argparse one replaced, and the calls
+# include every malformed call of perfbench/workloads.py
 MALFORMED = [
-    ["spacing", "roots", "-n", "1"],
-    ["hiller", "0"],
-    ["entropy", "--word", "0101", "--n-max", "0"],
-    ["cantor", "represent", "--q", "3/2"],
-    ["cantor", "dim", "--alphabet-size", "1"],
-    ["subst", "{fib}", "iterate", "-k", "0"],
-    ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "0", "--format", "json"],
-    ["cantor", "represent", "--q", "1/3", "--digits", "-1"],
-    ["spacing", "cusps", "--poly", "-1,-1,1", "-n", "3", "--precision-bits", "-1"],
-    ["subst", "{fib}", "fixpoint", "--letter", "7"],
-    ["entropy", "--word", "0121"],
-    ["cantor", "value", "--word", "9"],
+    (["spacing", "roots", "-n", "1"], 1),
+    (["hiller", "0"], 1),
+    (["entropy", "--word", "0101", "--n-max", "0"], 1),
+    (["cantor", "represent", "--q", "3/2"], 1),
+    (["cantor", "dim", "--alphabet-size", "1"], 1),
+    (["subst", "{fib}", "iterate", "-k", "0"], 1),
+    (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "0", "--format", "json"], 1),
+    (["cantor", "represent", "--q", "1/3", "--digits", "-1"], 1),
+    (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "3", "--precision-bits", "-1"], 1),
+    (["subst", "{fib}", "fixpoint", "--letter", "7"], 1),
+    (["entropy", "--word", "0121"], 1),
+    (["cantor", "value", "--word", "9"], 1),
+    (["pv", "--poly", "1,2"], 1),
+    (["pv", "--poly", "1,x"], 2),
+    (["hiller"], 2),
+    (["spacing", "cusps", "-n", "5"], 2),
+    (["spacing", "cusps", "--poly", "-1,0,1", "-n", "5"], 1),
+    (["subst", "{missing}", "show"], 1),
+    (["hiller", "--tab", "5"], 2),
+    (["hiller", "--", "-3"], 1),
+    (["hiller", "-5"], 2),
+    (["cantor", "represent", "--q", "1/0"], 1),
 ]
 
 
@@ -216,10 +261,12 @@ def assert_clean_error(r):
     assert sum(line.startswith("Error:") for line in lines) == 1
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
-def test_malformed_call_ends_in_one_error_line(runner, fib_path, argv):
-    r = runner.invoke(main, [a.format(fib=fib_path) for a in argv])
+@pytest.mark.parametrize("argv, code", MALFORMED, ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_malformed_call_ends_in_one_error_line(runner, fib_path, tmp_path, argv, code):
+    missing = str(tmp_path / "missing.json")
+    r = runner.invoke(main, [a.format(fib=fib_path, missing=missing) for a in argv])
     assert_clean_error(r)
+    assert r.exit_code == code
 
 
 def test_alphabet_holds_at_most_256_symbols(runner):
@@ -252,7 +299,7 @@ SMALL_INT_CALLS = [
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(SMALL_INT_CALLS), st.integers(-3, 12))
 def test_small_integers_never_escape(fib_spec, argv, n):
-    r = CliRunner().invoke(main, [a.format(fib=fib_spec, n=n) for a in argv])
+    r = Runner().invoke(main, [a.format(fib=fib_spec, n=n) for a in argv])
     if r.exit_code == 0:
         assert r.exception is None
     else:
@@ -263,7 +310,9 @@ def test_small_integers_never_escape(fib_spec, argv, n):
 # bisection kernel replaced the Fraction one: its intervals must not move;
 # and of long fixed points, iterates and complexity profiles, taken before
 # words became bytes; and of root counts and PV layouts with roots on the
-# circle or at 0, taken before one Moebius pass counted every root
+# circle or at 0, taken before one Moebius pass counted every root; and of
+# calls with an option value that starts with `-`, taken before argparse
+# replaced click
 PINNED = [
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
      "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
@@ -289,6 +338,12 @@ PINNED = [
      "a64217d0cd6a8db5727099d864632fe77a637692794798079f3b60fe1d56a894"),
     (["subst", "{thue_morse}", "analyze"],
      "3a99f511255458f7060cecd7c86d6a1884de33fe0fd0a87f6f8b193ccb7d0259"),
+    (["pv", "--poly", "-1,-1,0,1"],
+     "e8b2d6c47764d83413d35716e6acde3902175b70ef7c5fb6714bde264b5e0901"),
+    (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "8"],
+     "672c20dc5f0777580246e4e49440af06b7552d0eb8c6725267d160f95622bf78"),
+    (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "20", "--beta1", "-0.5"],
+     "3ee89122e652fb328758601926d9274f6731767dbbbc1fe1cdeaf6177a7567c1"),
 ]
 
 PINNED_SPECS = {
@@ -309,13 +364,27 @@ def test_certified_output_bytes_are_pinned(runner, tmp_path, argv, digest):
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
 
 
-def test_cli_start_up_does_not_import_numpy():
+def _env():
     import pisotdyn
 
-    env = dict(os.environ, PYTHONPATH=str(Path(pisotdyn.__file__).parents[1]))
+    return dict(os.environ, PYTHONPATH=str(Path(pisotdyn.__file__).parents[1]))
+
+
+def test_cli_start_up_does_not_import_numpy():
+    # nor click, nor dataclasses and the inspect it imports; every module
+    # perfbench/shim.py traces is loaded, as it reads them from sys.modules
     code = (
         "import sys, pisotdyn.cli\n"
-        "assert 'numpy' not in sys.modules\n"
+        "for name in ('numpy', 'click', 'dataclasses', 'inspect'):\n"
+        "    assert name not in sys.modules, name\n"
+        "for mod in ('algebraic', 'substitution', 'words', 'geometry', 'quantum', 'crystal'):\n"
+        "    assert 'pisotdyn.' + mod in sys.modules, mod\n"
         "assert abs(pisotdyn.cyclotomic_sum(8)) < 1e-12\n"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=_env(), check=True, timeout=60)
+
+
+def test_module_help_exits_0():
+    r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", "--help"], env=_env(),
+                       capture_output=True, timeout=60)
+    assert r.returncode == 0 and r.stdout.startswith(b"usage: pisotdyn")
