@@ -3,7 +3,7 @@
 Characteristic polynomials, unit-disk root counting, Pisot-Vijayaraghavan
 certification, Newton power sums, linear recurrences and the near-integer
 decay of PV powers.  Everything that decides root location does so over the
-rationals; floating point only ever appears in reported intervals.
+integers; floating point only ever appears in reported intervals.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .record import Record
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over Fraction (coefficient tuples, constant term first)
+# polynomial arithmetic over the integers (coefficient tuples, constant
+# term first)
 
 def _trim(c):
     c = list(c)
@@ -29,47 +30,51 @@ def _pdeg(c) -> int:
     return len(c) - 1
 
 
-def _pdivmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in _trim(b)]
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a) != (Fraction(0),):
-        if len(_trim(a)) < len(b):
-            break
-        a = list(_trim(a))
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a = list(_trim(a))
-    return _trim(q), _trim(a)
+def _primitive(c):
+    """c divided by its positive content."""
+    g = math.gcd(*c)
+    return tuple(x // g for x in c) if g > 1 else tuple(c)
 
 
-def _pgcd(a, b):
-    """Monic gcd over Q."""
-    a, b = _trim(a), _trim(b)
-    while b != (Fraction(0),) and b != (0,):
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a == (Fraction(0),) or a == (0,):
-        return (Fraction(0),)
-    lead = a[-1]
-    return tuple(x / lead for x in a)
+def _prem(a, b):
+    """A positive multiple of the remainder of a by b: b's lead is made
+    positive (a by -b leaves the same remainder), and each step scales by
+    it, so the quotient stays integral and no sign is flipped."""
+    if b[-1] < 0:
+        b = [-x for x in b]
+    n, r = len(b) - 1, list(a)
+    while len(r) > n:
+        c = r.pop()
+        r = [b[-1] * x for x in r]
+        for i in range(n):
+            r[len(r) - n + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r) or (0,)
+
+
+def _pexact_div(a, b):
+    """a / b for integer polynomials that b divides in Z[x]."""
+    n = len(b) - 1
+    r = list(a)
+    q = []
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = r[k + n] // b[-1]
+        q.append(c)
+        for i in range(n + 1):
+            r[k + i] -= c * b[i]
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(reversed(q))
 
 
 def _pderiv(a):
-    if len(a) == 1:
-        return (Fraction(0),)
-    return tuple(Fraction(i) * a[i] for i in range(1, len(a)))
+    return tuple(i * a[i] for i in range(1, len(a))) or (0,)
 
 
 def _peval(a, x):
-    acc = Fraction(0) if isinstance(x, Fraction) else 0.0
+    """a(x), exact for int and Fraction x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -80,17 +85,17 @@ def _sign(x) -> int:
 
 
 def _sturm_chain(p, q=None):
-    """Signed remainder chain starting (p, q); q defaults to p'."""
+    """Signed remainder chain starting (p, q); q defaults to p'.  Later
+    members are positive multiples of those over Q, made primitive."""
     chain = [_trim(p)]
-    q = _pderiv(p) if q is None else _trim(q)
-    if q != (Fraction(0),) and q != (0,):
+    q = _pderiv(chain[0]) if q is None else _trim(q)
+    if q != (0,):
         chain.append(q)
         while True:
-            _, r = _pdivmod(chain[-2], chain[-1])
-            r = _trim(r)
-            if r == (Fraction(0),) or r == (0,):
+            r = _prem(chain[-2], chain[-1])
+            if r == (0,):
                 break
-            chain.append(tuple(-x for x in r))
+            chain.append(_primitive([-x for x in r]))
     return chain
 
 
@@ -115,7 +120,7 @@ def _var_at_inf(chain, positive: bool) -> int:
 
 def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in (lo, hi]."""
-    chain = _sturm_chain([Fraction(c) for c in p])
+    chain = _sturm_chain(p)
     return _var_at(chain, lo) - _var_at(chain, hi)
 
 
@@ -163,21 +168,22 @@ class IntPolynomial(Record):
         return IntPolynomial(tuple(reversed(self.coefficients)))
 
     def repeated_part(self) -> "IntPolynomial":
-        """gcd(p, p'), whose roots are the repeated roots of p."""
-        return _from_frac_poly(_pgcd(self._frac(), _pderiv(self._frac())))
+        """gcd(p, p'), whose roots are the repeated roots of p: the last
+        member of p's Sturm chain, primitive with a positive lead."""
+        g = _primitive(_sturm_chain(self.coefficients)[-1])
+        return IntPolynomial(g if g[-1] >= 0 else [-x for x in g])
 
     def is_squarefree(self) -> bool:
         return self.repeated_part().degree == 0
 
     def squarefree_part(self) -> "IntPolynomial":
+        """self when squarefree, else p / gcd(p, p'), primitive with a
+        positive lead."""
         g = self.repeated_part()
         if g.degree == 0:
             return self
-        q, _ = _pdivmod(self._frac(), g._frac())
-        return _from_frac_poly(q)
-
-    def _frac(self):
-        return tuple(Fraction(c) for c in self.coefficients)
+        q = _primitive(_pexact_div(self.coefficients, g.coefficients))
+        return IntPolynomial(q if q[-1] > 0 else [-x for x in q])
 
     def cauchy_bound(self) -> Fraction:
         lead = abs(self.coefficients[-1])
@@ -202,23 +208,6 @@ class IntPolynomial(Record):
         first = parts[0]
         out = first[2:] if first.startswith("+ ") else "-" + first[2:]
         return out + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
-
-
-def _from_frac_poly(c) -> IntPolynomial:
-    """Clear denominators, divide by content, normalize sign of lead."""
-    c = _trim(c)
-    den = 1
-    for x in c:
-        den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in c]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return IntPolynomial(tuple(ints))
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +250,20 @@ class IntMatrix(Record):
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
-    """det(x*I - M) via the Faddeev-LeVerrier recursion, exact."""
+    """det(x*I - M) via the Faddeev-LeVerrier recursion over the integers:
+    each coefficient -trace(M M_k)/k is an exact integer."""
     n = m.dimension
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    b = IntMatrix.identity(n)
-    frac_b = [[Fraction(x) for x in row] for row in b.entries]
-    a = [[Fraction(x) for x in row] for row in m.entries]
-
-    def matmul(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    mk = frac_b
+    coeffs = [0] * n + [1]
+    mk = IntMatrix.identity(n)
     for k in range(1, n + 1):
-        mk = matmul(a, mk)
-        c = -sum(mk[i][i] for i in range(n)) / k
+        a = (m @ mk).entries
+        c, rem = divmod(-sum(a[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
         coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+        mk = IntMatrix(tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
+                             for i, row in enumerate(a)))
+    return IntPolynomial(coeffs)
 
 
 def wielandt_bound(d: int) -> int:
@@ -334,16 +315,6 @@ class RootCount(Record):
     @property
     def degree(self) -> int:
         return self.inside + self.on_circle + self.outside
-
-
-def _strip_root(c, r: int):
-    """c / (z - r) by integer synthetic division; r must be a root of c."""
-    q = [c[-1]]
-    for x in reversed(c[1:-1]):
-        q.append(x + r * q[-1])
-    if c[0] + r * q[-1] != 0:
-        raise ArithmeticError(f"{r} is not a root")
-    return tuple(reversed(q))
 
 
 def _moebius(c):
@@ -401,18 +372,23 @@ def schur_cohn(p: IntPolynomial) -> RootCount:
     The roots at 0 and +-1 are stripped, then one Moebius map sends the
     disk to the left half-plane and the circle to the imaginary axis.
     """
-    if p.degree == 0:
-        return RootCount(0, 0, 0)
     if not p.is_squarefree():
         raise NotSquarefreeError("schur_cohn requires a squarefree polynomial")
+    return _schur_cohn(p)
+
+
+def _schur_cohn(p: IntPolynomial) -> RootCount:
+    """schur_cohn for a p already known to be squarefree."""
+    if p.degree == 0:
+        return RootCount(0, 0, 0)
     c = p.coefficients
     inside = on = 0
     # squarefree: 0, 1 and -1 are at most simple roots
     if c[0] == 0:
-        inside, c = 1, _strip_root(c, 0)
+        inside, c = 1, _pexact_div(c, (0, 1))
     for r in (1, -1):
-        if _peval(c, Fraction(r)) == 0:
-            on, c = on + 1, _strip_root(c, r)
+        if _peval(c, r) == 0:
+            on, c = on + 1, _pexact_div(c, (-r, 1))
     lhp, axis = _count_lhp(_moebius(c))
     inside, on = inside + lhp, on + axis
     return RootCount(inside=inside, on_circle=on, outside=p.degree - inside - on)
@@ -452,17 +428,26 @@ def irreducible_over_q(p: IntPolynomial) -> bool | None:
     other factor would have all its roots strictly inside the disk, so a
     nonzero integer constant term of modulus below 1.
     """
+    return _irreducible(p, None)
+
+
+def _irreducible(p: IntPolynomial, counts: RootCount | None) -> bool | None:
+    """irreducible_over_q; counts, when given, are the schur_cohn counts of
+    p's squarefree part, so p is squarefree exactly when they count deg p
+    roots, and past that check they are p's own."""
     n = p.degree
     if n <= 1:
         return n == 1
-    if p.coefficients[0] == 0 or not p.is_squarefree():
+    squarefree = p.is_squarefree() if counts is None else counts.degree == n
+    if p.coefficients[0] == 0 or not squarefree:
         return False
     for _ in _rational_roots(p):
         return False
     if n <= 3:
         return True
     if p.is_monic:
-        counts = schur_cohn(p)
+        if counts is None:
+            counts = _schur_cohn(p)
         if counts.outside == 1 and counts.on_circle == 0:
             return True
     return None
@@ -536,11 +521,11 @@ class RootBracket:
             acc = acc * u + (c[i] << (shift * (d - i)))
         return _sign(acc)
 
-    def bisect(self, width: Fraction) -> None:
+    def bisect(self, width: Fraction) -> "RootBracket":
         """Halve until hi - lo <= width, keeping the half on which p's sign
         differs from its sign at hi, the end that is not a root (lo may be
         one: 1 is a root of (x - 1)(2x - 5)).  An exact root at a midpoint m
-        ends the refinement at [m - width/4, m + width/4]."""
+        ends the refinement at [m - width/4, m + width/4].  Returns self."""
         width = Fraction(width)
         wn, wd = width.numerator, width.denominator
         lo, hi, shift = self.lo, self.hi, self._shift
@@ -550,37 +535,37 @@ class RootBracket:
             if s == 0:
                 m = Fraction(mid, self._base << shift)
                 self._reset(m - width / 4, m + width / 4)
-                return
+                return self
             if s == self._sign_hi:
                 lo, hi = lo << 1, mid
             else:
                 lo, hi = mid, hi << 1
         self.lo, self.hi, self._shift = lo, hi, shift
+        return self
 
     def approx(self) -> RealApprox:
         den = self.den
         return RealApprox(Fraction(self.lo, den), Fraction(self.hi, den))
 
 
-def dominant_root_interval(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)) -> RealApprox:
+_LAMBDA_WIDTH = Fraction(1, 10**12)
+
+
+def dominant_root_interval(p: IntPolynomial, width: Fraction = _LAMBDA_WIDTH) -> RealApprox:
     """Isolating interval for the unique real root of p in (1, cauchy_bound].
 
     Valid when p has exactly one root there (PV and Pisot-type cases).
     """
-    lo, hi = Fraction(1), p.cauchy_bound()
-    if sturm_count(p.coefficients, lo, hi) != 1:
+    hi = p.cauchy_bound()
+    if sturm_count(p.coefficients, 1, hi) != 1:
         raise ValueError("no unique dominant real root in (1, cauchy bound]")
-    root = RootBracket(p, lo, hi)
-    root.bisect(width)
-    return root.approx()
+    return RootBracket(p, 1, hi).bisect(width).approx()
 
 
 def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox:
     if p(iv.lower) == 0:
         return RealApprox(iv.lower, iv.lower)
-    root = RootBracket(p, iv.lower, iv.upper)
-    root.bisect(width)
-    return root.approx()
+    return RootBracket(p, iv.lower, iv.upper).bisect(width).approx()
 
 
 class RootLayout(Record):
@@ -610,16 +595,17 @@ def root_layout(p: IntPolynomial) -> RootLayout:
     It is simple in p exactly when p = z^m sf: when it is, every root of
     the monic integer polynomial p / sf lies in the open disk, and such a
     polynomial is z^m (Kronecker).  So a pv layout is squarefree, and
-    irreducible by Kronecker's theorem (see irreducible_over_q).
+    irreducible by Kronecker's theorem (see irreducible_over_q).  The
+    counts already isolate lambda in (1, cauchy bound] without Sturm.
     """
     if not p.is_monic:
         raise ValueError("PV certification requires a monic polynomial")
     sf = p.squarefree_part()
-    counts = schur_cohn(sf)
+    counts = _schur_cohn(sf)
     lam = None
-    if (counts.outside == 1 and counts.on_circle == 0 and sf(Fraction(1)) < 0
+    if (counts.outside == 1 and counts.on_circle == 0 and sf(1) < 0
             and p.coefficients == (0,) * (p.degree - sf.degree) + sf.coefficients):
-        lam = dominant_root_interval(sf)
+        lam = RootBracket(sf, 1, sf.cauchy_bound()).bisect(_LAMBDA_WIDTH).approx()
     return RootLayout(counts, lam, lam is not None and p.coefficients[0] != 0)
 
 
@@ -639,8 +625,11 @@ def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
     Requires squarefree p with one root outside the closed unit disk and
     none on the circle.  Bisects r over [0, 1]: at r = a/b the exact root
     count of b^d p(a z / b) has one root outside exactly when every other
-    root of p has modulus <= r.
+    root of p has modulus <= r.  Scaling z -> a z / b keeps p squarefree,
+    so p is checked once and the scaled polynomials are counted unchecked.
     """
+    if not p.is_squarefree():
+        raise NotSquarefreeError("conjugate_modulus_bound requires a squarefree polynomial")
     d = p.degree
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(40):
@@ -649,7 +638,7 @@ def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
         scaled = IntPolynomial(
             tuple(c * a**i * b ** (d - i) for i, c in enumerate(p.coefficients))
         )
-        if schur_cohn(scaled).outside == 1:
+        if _schur_cohn(scaled).outside == 1:
             hi = r
         else:
             lo = r
@@ -702,15 +691,15 @@ def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
     bisected once to P bits, enough for n powers, and lambda^n is bounded by
     outward-rounded powers of its P-bit ends.
     """
-    if not is_pv(p):
+    layout = root_layout(p)
+    if not layout.pv:
         raise ValueError("pv_decay requires a PV polynomial")
     s = power_sums(p, n)
-    iv = dominant_root_interval(p)
+    iv = layout.lam
     lam = float(iv.upper)
     precision = int(2 * n * max(1.0, math.log2(lam))) + 64
     bits = precision + math.ceil(n * math.log2(lam + 1)) + 64
-    root = RootBracket(p, iv.lower, iv.upper)
-    root.bisect(Fraction(1, 1 << bits))
+    root = RootBracket(p, iv.lower, iv.upper).bisect(Fraction(1, 1 << bits))
     lo = (root.lo << bits) // root.den
     hi = -(-(root.hi << bits) // root.den)
     lo_n = _pow_rounded(lo, n, bits, up=False)

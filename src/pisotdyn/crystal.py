@@ -92,6 +92,8 @@ def hiller(n: int) -> int:
 
 
 def hiller_table(n_max: int) -> list:
+    if n_max < 1:
+        raise ValueError("n must be >= 1")
     return [(n, hiller(n)) for n in range(1, n_max + 1)]
 
 

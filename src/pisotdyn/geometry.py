@@ -8,7 +8,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebraic import IntPolynomial, RootBracket, dominant_root_interval, is_pv
+from .algebraic import IntPolynomial, RootBracket, root_layout
 from .record import Record
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
@@ -242,14 +242,14 @@ def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> Angle
     lambda^k is evaluated in exact interval arithmetic refined until the
     fractional part is determined to the requested precision.
     """
-    if not is_pv(p):
+    layout = root_layout(p)
+    if not layout.pv:
         raise ValueError("cusp_curve requires a PV polynomial")
     if big_k < 1:
         raise ValueError("K must be >= 1")
     if precision_bits < 0:
         raise ValueError("precision bits must be >= 0")
-    iv = dominant_root_interval(p)
-    root = RootBracket(p, iv.lower, iv.upper)
+    root = RootBracket(p, layout.lam.lower, layout.lam.upper)
     out = []
     # lambda^k lies in [lo_k/den_k, hi_k/den_k]: running products of the
     # bracket's ends, recomputed only when the bracket is refined
@@ -275,6 +275,8 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
     """
     if sigma.alphabet.size != 2:
         raise ValueError("substitution spacing needs a binary alphabet")
+    if n_points < 1:
+        raise ValueError("n must be >= 1")
     report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")

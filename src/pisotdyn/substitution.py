@@ -12,9 +12,9 @@ from .algebraic import (
     IntPolynomial,
     RealApprox,
     RootCount,
+    _irreducible,
     char_poly,
     conjugate_modulus_bound,
-    irreducible_over_q,
     is_primitive,
     power_iteration,
     root_layout,
@@ -239,7 +239,7 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
         char_poly=p,
         leading_eigenvalue=layout.lam or RealApprox(Fraction(0), Fraction(0)),
         root_counts=layout.counts,
-        irreducible=irreducible_over_q(p),
+        irreducible=_irreducible(p, layout.counts),
         pisot_loose=layout.lam is not None,
         pisot_strict=layout.pv,
         frequencies=perron_frequencies(m) if primitive else (),

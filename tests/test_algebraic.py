@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from pisotdyn.algebraic import (
     _pow_rounded,
+    _trim,
     FIBONACCI,
     PADOVAN,
     PELL,
@@ -35,6 +37,8 @@ from pisotdyn.algebraic import (
     sturm_count,
     wielandt_bound,
 )
+from pisotdyn.geometry import cusp_curve
+from pisotdyn.substitution import Substitution, classify_pisot
 
 GOLDEN = IntPolynomial((-1, -1, 1))      # x^2 - x - 1
 PLASTIC = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
@@ -145,6 +149,12 @@ class TestSchurCohn:
     def test_non_squarefree_rejected(self):
         with pytest.raises(NotSquarefreeError):
             schur_cohn(IntPolynomial((1, 2, 1)))
+
+    def test_exact_near_one(self):
+        # 2^60 + 1 - 2^60 z has its root just outside the circle; a float
+        # evaluation at z = 1 gives 0 and would strip 1 as a circle root
+        c = schur_cohn(IntPolynomial((2**60 + 1, -(2**60))))
+        assert (c.inside, c.on_circle, c.outside) == (0, 0, 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -533,3 +543,192 @@ class TestSturm:
         assert sturm_count((-2, 0, 1), Fraction(1), Fraction(2)) == 1
         assert sturm_count((-2, 0, 1), Fraction(-2), Fraction(2)) == 2
         assert sturm_count((-2, 0, 1), Fraction(2), Fraction(3)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the polynomial layer over Fraction that the integer Sturm chains, gcd and
+# squarefree part replaced, kept as their reference
+
+def _pdivmod(a, b):
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in _trim(b)]
+    if b == [Fraction(0)]:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _trim(a) != (Fraction(0),):
+        a = list(_trim(a))
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        c = a[-1] / b[-1]
+        q[k] = c
+        for i in range(len(b)):
+            a[k + i] -= c * b[i]
+        a = list(_trim(a))
+    return _trim(q), _trim(a)
+
+
+def _pderiv(a):
+    if len(a) == 1:
+        return (Fraction(0),)
+    return tuple(Fraction(i) * a[i] for i in range(1, len(a)))
+
+
+def _pgcd(a, b):
+    """Monic gcd over Q."""
+    a, b = _trim(a), _trim(b)
+    while b != (0,):
+        _, r = _pdivmod(a, b)
+        a, b = b, r
+    if a == (0,):
+        return (Fraction(0),)
+    return tuple(x / a[-1] for x in a)
+
+
+def _sturm_chain(p):
+    """Signed remainder chain (p, p', ...) over Q."""
+    chain = [_trim(p)]
+    q = _pderiv(chain[0])
+    if q != (0,):
+        chain.append(q)
+        while True:
+            _, r = _pdivmod(chain[-2], chain[-1])
+            if r == (0,):
+                break
+            chain.append(tuple(-x for x in r))
+    return chain
+
+
+def _int_poly(c) -> tuple:
+    """Denominators cleared, content divided out, lead made positive."""
+    den = math.lcm(*(Fraction(x).denominator for x in c))
+    ints = [int(Fraction(x) * den) for x in c]
+    g = math.gcd(*ints) or 1
+    sign = -1 if ints[-1] < 0 else 1
+    return tuple(sign * x // g for x in ints)
+
+
+def _ref_sturm_count(c, lo, hi):
+    chain = _sturm_chain(c)
+
+    def variations(x):
+        signs = [s for s in (_sign(sum(f * x**i for i, f in enumerate(g))) for g in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _sweep_polynomials(count, seed):
+    """Integer polynomials of degree 1-11 with negative and non-unit leads,
+    some with content > 1, squared factors or roots at 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 9)))
+        c += (rng.choice((1, -1, 2, -3, 5)),)
+        for _ in range(rng.randint(0, 2)):
+            f = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 2))) + (rng.choice((1, -2)),)
+            c = _mul(c, _mul(f, f)) if rng.random() < 0.6 else _mul(c, f)
+        if rng.random() < 0.2:
+            c = (0,) * rng.randint(1, 2) + c
+        if rng.random() < 0.2:
+            c = tuple(rng.choice((2, 3, -4)) * x for x in c)
+        yield IntPolynomial(c)
+
+
+def _det(rows):
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+class TestIntegerCore:
+    def test_gcd_squarefree_part_and_sturm_counts_match_fractions(self):
+        squared = 0
+        for p in _sweep_polynomials(500, seed=7):
+            c = p.coefficients
+            g = _pgcd(c, _pderiv(c))
+            assert p.repeated_part().coefficients == _int_poly(g), c
+            if len(g) == 1:
+                assert p.squarefree_part() is p
+            else:
+                squared += 1
+                assert p.squarefree_part().coefficients == _int_poly(_pdivmod(c, g)[0]), c
+            bound = p.cauchy_bound()
+            for lo, hi in ((-bound, bound), (Fraction(-7, 3), Fraction(5, 2)), (0, 1), (1, bound)):
+                assert sturm_count(c, lo, hi) == _ref_sturm_count(c, lo, hi), (c, lo, hi)
+        assert squared > 100
+
+    def test_char_poly_is_the_determinant(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            p = char_poly(IntMatrix(m))
+            assert p.degree == n and p.is_monic
+            for x in range(-2, n + 1):
+                xi_m = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+                assert p(x) == _det(xi_m), (m, x)
+
+
+class TestDecideOnce:
+    """Call counts taken by wrapping the module's functions in the test."""
+
+    @pytest.fixture
+    def moebius_calls(self, monkeypatch):
+        import pisotdyn.algebraic as algebraic
+
+        calls = []
+        moebius = algebraic._moebius
+        monkeypatch.setattr(algebraic, "_moebius", lambda c: calls.append(c) or moebius(c))
+        return calls
+
+    @pytest.fixture
+    def isolations(self, monkeypatch):
+        """Brackets opened on (1, cauchy bound] of p, which isolate lambda,
+        and Sturm counts, which the root layout makes unnecessary."""
+        import pisotdyn.algebraic as algebraic
+
+        opened = []
+        init, sturm = algebraic.RootBracket.__init__, algebraic.sturm_count
+        monkeypatch.setattr(algebraic, "sturm_count",
+                            lambda *a: opened.append("sturm_count") or sturm(*a))
+
+        def counting(self, p, lower, upper):
+            if lower == 1 and upper == p.cauchy_bound():
+                opened.append(p)
+            init(self, p, lower, upper)
+
+        monkeypatch.setattr(algebraic.RootBracket, "__init__", counting)
+        return opened
+
+    def test_classify_pisot_counts_once(self, moebius_calls, monkeypatch):
+        gcds = []
+        repeated_part = IntPolynomial.repeated_part
+        monkeypatch.setattr(IntPolynomial, "repeated_part",
+                            lambda p: gcds.append(p) or repeated_part(p))
+        spec = {"alphabet": ["0", "1", "2", "3"],
+                "rules": {"0": "01", "1": "02", "2": "03", "3": "0"}}
+        report = classify_pisot(Substitution.from_json(json.dumps(spec)))
+        assert report.irreducible is True and report.pisot_strict
+        assert len(moebius_calls) == 1 and len(gcds) == 1
+
+    def test_cusp_curve_isolates_lambda_once(self, isolations):
+        assert len(cusp_curve(PLASTIC, 200)) == 200
+        assert isolations == [PLASTIC]
+
+    def test_pv_decay_isolates_lambda_once(self, isolations):
+        pv_decay(PLASTIC, 500)
+        assert isolations == [PLASTIC]
+
+    def test_conjugate_modulus_bound_checks_its_input(self, moebius_calls):
+        with pytest.raises(NotSquarefreeError):
+            conjugate_modulus_bound(IntPolynomial((1, 2, -1, -2, 1)))  # (z^2 - z - 1)^2
+        assert moebius_calls == []
+        conjugate_modulus_bound(PLASTIC)
+        assert len(moebius_calls) == 40

@@ -250,6 +250,9 @@ MALFORMED = [
     (["hiller", "--", "-3"], 1),
     (["hiller", "-5"], 2),
     (["cantor", "represent", "--q", "1/0"], 1),
+    (["spacing", "drive", "--spec", "{fib}", "-n", "0"], 1),
+    (["hiller", "--table", "0"], 1),
+    (["hiller", "--table", "-1"], 1),
 ]
 
 
@@ -293,6 +296,8 @@ SMALL_INT_CALLS = [
     ["cantor", "represent", "--q", "1/3", "--alphabet-size", "{n}"],
     ["cantor", "represent", "--q", "1/3", "--digits", "{n}"],
     ["entropy", "--word", "0100101001", "--n-max", "{n}"],
+    ["spacing", "drive", "--spec", "{fib}", "-n", "{n}"],
+    ["hiller", "--table", "{n}"],
 ]
 
 
