@@ -271,20 +271,30 @@ def wielandt_bound(d: int) -> int:
 
 
 def is_primitive(m: IntMatrix) -> bool:
-    """Some power <= Wielandt bound is entrywise positive."""
+    """Some power <= Wielandt bound is entrywise positive.  Every power
+    after a positive one is positive too (M then has no zero column), so
+    the 0/1 pattern of M, one bitset per row, is squared until the exponent
+    reaches the bound: about 2 log2(n) products instead of (n - 1)^2 + 1."""
     n = m.dimension
     if any(x < 0 for row in m.entries for x in row):
         raise ValueError("primitivity requires nonnegative entries")
-    b = [[x > 0 for x in row] for row in m.entries]
-    a = [row[:] for row in b]
-    for _ in range(wielandt_bound(n)):
-        if all(all(row) for row in a):
-            return True
-        a = [
-            [any(a[i][k] and b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return all(all(row) for row in a)
+    full = (1 << n) - 1
+    a = [sum(1 << j for j, x in enumerate(row) if x) for row in m.entries]
+    power = 1
+    while any(row != full for row in a):
+        if power >= wielandt_bound(n):
+            return False
+        # row i of A^2 is the union of the rows k of A with A[i][k] set
+        a = [_union(a[k] for k in range(n) if row >> k & 1) for row in a]
+        power *= 2
+    return True
+
+
+def _union(rows) -> int:
+    out = 0
+    for row in rows:
+        out |= row
+    return out
 
 
 def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
@@ -630,6 +640,11 @@ def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
     """
     if not p.is_squarefree():
         raise NotSquarefreeError("conjugate_modulus_bound requires a squarefree polynomial")
+    return _conjugate_modulus_bound(p)
+
+
+def _conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
+    """conjugate_modulus_bound for a p already known to be squarefree."""
     d = p.degree
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(40):

@@ -23,6 +23,7 @@ from .substitution import (
     FixedPointError,
     Substitution,
     classify_pisot,
+    factor_window,
     fixed_point_prefix,
     iterate,
 )
@@ -113,7 +114,10 @@ def entropy(args):
     n_max = args.n_max
     if args.spec_path:
         sigma = _load_subst(args.spec_path)
-        w = fixed_point_prefix(sigma, 0, args.prefix_len).prefix(args.prefix_len)
+        stream = fixed_point_prefix(sigma, 0, args.prefix_len)
+        # p_n of the certified window is p_n of the whole prefix
+        window = factor_window(sigma, stream, n_max, args.prefix_len)
+        w = stream.prefix(window or args.prefix_len)
     else:
         ab = words.Alphabet(tuple(args.alphabet))
         w = ab.word(args.raw_word)

@@ -33,9 +33,11 @@ class AngleList(Record):
         return [(math.cos(t), math.sin(t)) for t in self.angles]
 
     def to_csv(self) -> str:
+        cos, sin = math.cos, math.sin
         lines = ["k,theta,x,y"]
-        for k, t in enumerate(self.angles, start=1):
-            lines.append(f"{k},{fmt12(t)},{fmt12(math.cos(t))},{fmt12(math.sin(t))}")
+        # one format per line; %.12g is fmt12
+        lines += ["%d,%.12g,%.12g,%.12g" % (k, t, cos(t), sin(t))
+                  for k, t in enumerate(self.angles, start=1)]
         return "\n".join(lines) + "\n"
 
     def to_svg(self, size: int = 400, stroke: str = "#1a6baf",

@@ -164,22 +164,27 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
-    m = incidence_matrix(sigma)
-    rng = random.Random(seed)
-    v = [1.0, 0.0]
+    (a, b), (c, d) = incidence_matrix(sigma).entries
+    draw = random.Random(seed).random
+    # p0 at each step of the normalized iteration; once the vector is its
+    # own image exactly as floats, every later step repeats it.  The 2x2
+    # step stays inline: power_iteration's generic step is several times
+    # slower, and a run takes one step per angle.
+    p0s = []
+    x, y = 1.0, 0.0
+    while len(p0s) < n_steps:
+        wx, wy = a * x + b * y, c * x + d * y
+        norm = math.sqrt(wx * wx + wy * wy)
+        wx, wy = wx / norm, wy / norm
+        p0s.append(wx * wx)
+        if wx == x and wy == y:
+            p0s += [p0s[-1]] * (n_steps - len(p0s))
+        x, y = wx, wy
     theta = 0.0
     angles = []
     outcomes = []
-    # the 2x2 step stays inline: power_iteration's generic step (IntMatrix.apply
-    # and a norm function) gives the same outcomes but is several times slower
-    # per step, and a run takes one step per angle
-    for _ in range(n_steps):
-        w = [m.entries[0][0] * v[0] + m.entries[0][1] * v[1],
-             m.entries[1][0] * v[0] + m.entries[1][1] * v[1]]
-        norm = math.sqrt(w[0] * w[0] + w[1] * w[1])
-        v = [w[0] / norm, w[1] / norm]
-        p0 = v[0] * v[0]
-        letter = 0 if rng.random() < p0 else 1
+    for p0 in p0s:
+        letter = 0 if draw() < p0 else 1
         outcomes.append(letter)
         theta = (theta + (beta0 if letter == 0 else beta1)) % TWO_PI
         angles.append(theta)

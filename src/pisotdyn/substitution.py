@@ -12,9 +12,9 @@ from .algebraic import (
     IntPolynomial,
     RealApprox,
     RootCount,
+    _conjugate_modulus_bound,
     _irreducible,
     char_poly,
-    conjugate_modulus_bound,
     is_primitive,
     power_iteration,
     root_layout,
@@ -167,6 +167,50 @@ def fixed_point_prefix(sigma: Substitution, letter: int, length: int) -> PrefixS
     return PrefixStream(sigma.alphabet, _images(sigma), letter)
 
 
+def factor_window(sigma: Substitution, stream: PrefixStream, n_max: int,
+                  limit: int) -> int | None:
+    """A length L <= limit such that the first L letters of sigma's fixed
+    point u, streamed by `stream`, hold every factor of u of length at most
+    n_max; None when sigma is not primitive or no such L is found.
+
+    For primitive sigma the 2-factors of u are those inside each image,
+    closed under xy -> sigma(x) sigma(y).  Take the least K with every
+    |sigma^K(c)| >= n_max and the least m with every 2-factor in u[0:m].
+    Then u = sigma^K(u) is a join of blocks sigma^K(c), a window of length
+    n <= n_max lies inside two consecutive blocks sigma^K(xy), and so
+    inside sigma^K(u[0:m]) = u[0:L].  The prefix is read once, in doubling
+    chunks, never past `limit`.
+    """
+    if not 1 <= n_max <= limit or not is_primitive(incidence_matrix(sigma)):
+        return None
+    images = _images(sigma)
+    pairs = {img[i : i + 2] for img in images for i in range(len(img) - 1)}
+    todo = list(pairs)
+    while todo:
+        x, y = todo.pop()
+        pair = bytes((images[x][-1], images[y][0]))
+        if pair not in pairs:
+            pairs.add(pair)
+            todo.append(pair)
+    m, seen, size = 0, 0, 64
+    while pairs:
+        if seen == limit:
+            return None
+        size = min(2 * size, limit)
+        letters = stream.prefix(size).letters
+        for pair in list(pairs):
+            i = letters.find(pair, max(seen - 1, 0))
+            if i >= 0:
+                pairs.remove(pair)
+                m = max(m, i + 2)
+        seen = size
+    lengths = [1] * len(images)
+    while min(lengths) < n_max:
+        lengths = [sum(map(lengths.__getitem__, img)) for img in images]
+    window = sum(map(lengths.__getitem__, letters[:m]))
+    return window if window <= limit else None
+
+
 class PisotReport(Record):
     # no __slots__: conjugate_moduli_bound caches in __dict__
     _fields = ("primitive", "char_poly", "leading_eigenvalue", "root_counts",
@@ -190,8 +234,12 @@ class PisotReport(Record):
         Computed on first read."""
         if not self.pisot_loose:
             return RealApprox(Fraction(0), Fraction(1))
-        sf = self.char_poly.squarefree_part()
-        return RealApprox(Fraction(0), conjugate_modulus_bound(sf))
+        # a loose layout has p = z^m sf with sf squarefree, and the root
+        # counts are sf's (see root_layout): no second gcd
+        c, p = self.root_counts, self.char_poly
+        m = p.degree - (c.inside + c.on_circle + c.outside)
+        sf = IntPolynomial(p.coefficients[m:])
+        return RealApprox(Fraction(0), _conjugate_modulus_bound(sf))
 
     def to_dict(self) -> dict:
         return {

@@ -109,6 +109,46 @@ class TestPrimitivity:
     def test_wielandt(self):
         assert wielandt_bound(3) == 5
 
+    @staticmethod
+    def power_by_power(m):
+        """Whether one of M, M^2, ..., M^w (w the Wielandt bound) is positive."""
+        n = m.dimension
+        b = [[x > 0 for x in row] for row in m.entries]
+        a = b
+        for _ in range(wielandt_bound(n)):
+            if all(map(all, a)):
+                return True
+            a = [[any(a[i][k] and b[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        return False
+
+    def test_squaring_matches_power_by_power(self):
+        rng = random.Random(3)
+        verdicts = set()
+        for _ in range(1500):
+            n = rng.randint(1, 7)
+            density = rng.random()
+            m = IntMatrix(tuple(tuple(rng.randint(1, 3) if rng.random() < density else 0
+                                      for _ in range(n)) for _ in range(n)))
+            verdicts.add(is_primitive(m))
+            assert is_primitive(m) == self.power_by_power(m)
+        assert verdicts == {True, False}
+
+    def test_wielandt_matrix_needs_the_whole_bound(self):
+        # the Wielandt matrix: a cycle with one chord; M^(w-1) has a zero
+        for n in range(2, 9):
+            rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+            rows[n - 1][1] = 1
+            m = IntMatrix(rows)
+            assert is_primitive(m) and self.power_by_power(m)
+            rows[n - 1][1] = 0
+            assert not is_primitive(IntMatrix(rows))
+
+    def test_large_periodic_pattern_is_fast(self):
+        # a 256-cycle is not primitive; the Wielandt bound is 65,026
+        m = IntMatrix([[int(j == (i + 1) % 256) for j in range(256)] for i in range(256)])
+        assert not is_primitive(m)
+
 
 class TestSchurCohn:
     def test_golden(self):
@@ -717,6 +757,28 @@ class TestDecideOnce:
         report = classify_pisot(Substitution.from_json(json.dumps(spec)))
         assert report.irreducible is True and report.pisot_strict
         assert len(moebius_calls) == 1 and len(gcds) == 1
+        # the bound takes the squarefree part off the layout, with no gcd
+        assert report.to_dict()["conjugate_moduli_bound"] < 1
+        assert len(gcds) == 1 and len(moebius_calls) == 41
+
+    def test_conjugate_moduli_bound_with_a_repeated_root_at_zero(self, monkeypatch):
+        # p = z^2 (z^2 - z - 1), whose squarefree part is z (z^2 - z - 1):
+        # the unchecked bound is handed that part, never p itself
+        import pisotdyn.substitution as substitution
+
+        bounded = []
+        unchecked = substitution._conjugate_modulus_bound
+        monkeypatch.setattr(substitution, "_conjugate_modulus_bound",
+                            lambda sf: bounded.append(sf) or unchecked(sf))
+        spec = {"alphabet": ["0", "1", "2", "3"],
+                "rules": {"0": "01", "1": "0", "2": "0", "3": "0"}}
+        report = classify_pisot(Substitution.from_json(json.dumps(spec)))
+        p = report.char_poly
+        assert p.coefficients == (0, 0, -1, -1, 1) and report.pisot_loose
+        bound = report.conjugate_moduli_bound.upper
+        assert bounded == [p.squarefree_part()]
+        assert bound == conjugate_modulus_bound(p.squarefree_part())
+        assert bound == conjugate_modulus_bound(GOLDEN)
 
     def test_cusp_curve_isolates_lambda_once(self, isolations):
         assert len(cusp_curve(PLASTIC, 200)) == 200

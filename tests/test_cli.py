@@ -317,7 +317,10 @@ def test_small_integers_never_escape(fib_spec, argv, n):
 # words became bytes; and of root counts and PV layouts with roots on the
 # circle or at 0, taken before one Moebius pass counted every root; and of
 # calls with an option value that starts with `-`, taken before argparse
-# replaced click
+# replaced click; and of complexity profiles, primitive, non-primitive and
+# on a prefix shorter than the certified factor window, and of a long
+# quantum CSV, taken before entropy counted on that window and the
+# quantum run stopped stepping at a float fixed point
 PINNED = [
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
      "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
@@ -349,12 +352,24 @@ PINNED = [
      "672c20dc5f0777580246e4e49440af06b7552d0eb8c6725267d160f95622bf78"),
     (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "20", "--beta1", "-0.5"],
      "3ee89122e652fb328758601926d9274f6731767dbbbc1fe1cdeaf6177a7567c1"),
+    (["entropy", "--spec", "{tribonacci}", "--prefix-len", "200000", "--n-max", "200"],
+     "f0d0166c49b2eb665b0d858ed5c73e194c8ce6b86deb06c53bcbc395ad92f385"),
+    (["entropy", "--spec", "{thue_morse}", "--prefix-len", "100000", "--n-max", "200"],
+     "15cf16c743d5facb20e0f05d58225d839f38a08f406b5ea8458a655365323443"),
+    (["entropy", "--spec", "{non_primitive}", "--prefix-len", "20000", "--n-max", "100"],
+     "1051724aa9cf9bde00c03482dc15996b3009dcd851013a92409cd1ff2ba86234"),
+    (["entropy", "--spec", "{fib}", "--prefix-len", "300", "--n-max", "200"],
+     "ca31aae498ac96ea02920c9b25a7887b6442d218e8ffa6226f2c8c55fa55ace0"),
+    (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "100000", "--format", "csv"],
+     "43952b20a5f5579766639fa8ab6ac7e735f025009628ed6a6e4a5ec29de7e4df"),
 ]
 
 PINNED_SPECS = {
     "fib": FIB_SPEC,
     "ternary": '{"alphabet": ["0", "1", "2"], "rules": {"0": "0212", "1": "0", "2": "00"}}',
     "thue_morse": '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "10"}}',
+    "tribonacci": '{"alphabet": ["0", "1", "2"], "rules": {"0": "01", "1": "02", "2": "0"}}',
+    "non_primitive": '{"alphabet": ["0", "1"], "rules": {"0": "001", "1": "1"}}',
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from pisotdyn.geometry import (
     cusp_curve,
     cyclotomic_sum,
     diagonal_polygon,
+    fmt12,
     gap_statistics,
     geodesic_distance,
     roots_of_unity,
@@ -173,6 +175,17 @@ class TestExports:
         lines = csv.strip().split("\n")
         assert lines[0] == "k,theta,x,y"
         assert len(lines) == 4
+
+    def test_csv_lines_are_fmt12(self):
+        # tiny, round and near-2*pi angles, and the zeros of cos and sin
+        rng = random.Random(4)
+        angles = [0.0, 5e-324, 1e-17, 1e-5, 0.5, math.pi / 2, math.pi, 1.5 * math.pi,
+                  math.nextafter(TWO_PI, 0.0)] + [rng.uniform(0, TWO_PI) for _ in range(3000)]
+        expected = "k,theta,x,y\n" + "".join(
+            f"{k},{fmt12(t)},{fmt12(math.cos(t))},{fmt12(math.sin(t))}\n"
+            for k, t in enumerate(angles, start=1)
+        )
+        assert AngleList(angles).to_csv() == expected
 
     def test_svg_selfcontained(self):
         svg = roots_of_unity(5).to_svg()

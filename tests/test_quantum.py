@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -165,6 +166,59 @@ class TestSimulation:
             for a, b in zip(run.angles.angles, run.angles.angles[1:])
         }
         assert len(gaps) == 1
+
+    @staticmethod
+    def full_step_reference(sigma, beta0, beta1, n_steps, seed):
+        """The loop that steps the 2x2 iteration at every angle: angles,
+        outcomes, p0 per step, and the first step whose normalized vector
+        is its own image (None if none is)."""
+        m = incidence_matrix(sigma).entries
+        rng = random.Random(seed)
+        v, theta, angles, outcomes, p0s, fixed = [1.0, 0.0], 0.0, [], [], [], None
+        for step in range(n_steps):
+            w = [m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1]]
+            norm = math.sqrt(w[0] * w[0] + w[1] * w[1])
+            w = [w[0] / norm, w[1] / norm]
+            if fixed is None and w == v:
+                fixed = step
+            v = w
+            p0s.append(v[0] * v[0])
+            letter = 0 if rng.random() < p0s[-1] else 1
+            outcomes.append(letter)
+            theta = (theta + (beta0 if letter == 0 else beta1)) % (2 * math.pi)
+            angles.append(theta)
+        return tuple(angles), tuple(outcomes), p0s, fixed
+
+    SPECS = pytest.mark.parametrize("rules, reaches_fixed_point", [
+        ({"0": "0001", "1": "01"}, False),
+        ({"0": "01", "1": "0"}, True),
+        ({"0": "01", "1": "001"}, True),
+    ], ids=["0001-01", "fibonacci", "pell"])
+
+    @SPECS
+    def test_skipped_steps_match_the_full_step_loop(self, rules, reaches_fixed_point):
+        sigma = Substitution.from_rules(BINARY, rules)
+        run = quantum_spacing_simulate(sigma, 1.25, 4.5, 3000, 11)
+        angles, outcomes, _, fixed = self.full_step_reference(sigma, 1.25, 4.5, 3000, 11)
+        assert (fixed is not None) == reaches_fixed_point
+        assert run.angles.angles == angles and run.outcomes == outcomes
+
+    @SPECS
+    def test_every_p0_is_the_full_step_value(self, monkeypatch, rules, reaches_fixed_point):
+        # draws placed on the reference p0 and just below it: a step draws 1
+        # against the first exactly when its p0 is <= the reference, and 0
+        # against the second exactly when it is >= the reference
+        import types
+
+        import pisotdyn.quantum as quantum
+
+        sigma = Substitution.from_rules(BINARY, rules)
+        _, _, p0s, _ = self.full_step_reference(sigma, 1.0, 2.0, 300, 0)
+        for draws, letter in ((p0s, 1), ([math.nextafter(p, 0.0) for p in p0s], 0)):
+            source = types.SimpleNamespace(random=iter(draws).__next__)
+            monkeypatch.setattr(quantum, "random",
+                                types.SimpleNamespace(Random=lambda seed: source))
+            assert quantum_spacing_simulate(sigma, 1.0, 2.0, 300, 0).outcomes == (letter,) * 300
 
     def test_manifest(self):
         run = quantum_spacing_simulate(FIBONACCI_SUBST, 1.0, 2.0, 10, 1)

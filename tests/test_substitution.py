@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, is_pv, recurrence_term
+from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, is_primitive, is_pv, recurrence_term
 from pisotdyn.substitution import (
     FIBONACCI_SUBST,
     PADOVAN_SUBST,
@@ -14,6 +14,7 @@ from pisotdyn.substitution import (
     Substitution,
     apply,
     classify_pisot,
+    factor_window,
     fixed_point_prefix,
     incidence_matrix,
     iterate,
@@ -23,6 +24,7 @@ from pisotdyn.substitution import (
 )
 from pisotdyn.words import (
     BINARY,
+    TERNARY,
     Alphabet,
     complexity_bruteforce,
     complexity_profile,
@@ -287,3 +289,75 @@ class TestEntropyOfSubstitution:
         value, flags = substitution_entropy_estimate(PADOVAN_SUBST, 10, 100)
         assert value is None
         assert flags["needs_power"] == 3
+
+
+TRIBONACCI_SUBST = Substitution.from_rules(TERNARY, {"0": "01", "1": "02", "2": "0"})
+
+
+def thue_morse_complexity(n: int) -> int:
+    """p_n of Thue-Morse (Brlek; de Luca and Varricchio): 2, 4, then with
+    n = 2^r + q + 1, 0 < q <= 2^r: 6 * 2^(r-1) + 4q when q <= 2^(r-1),
+    else 8 * 2^(r-1) + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2**r
+    return 4 * 2**r + 2 * q if 2 * q > 2**r else 3 * 2**r + 4 * q
+
+
+def window_profile(sigma, n_max, limit=10**6):
+    stream = fixed_point_prefix(sigma, 0, limit)
+    window = factor_window(sigma, stream, n_max, limit)
+    return window, complexity_profile(stream.prefix(window), n_max).values
+
+
+class TestFactorWindow:
+    @pytest.mark.parametrize("sigma, closed_form", [
+        (FIBONACCI_SUBST, lambda n: n + 1),
+        (TRIBONACCI_SUBST, lambda n: 2 * n + 1),
+        (THUE_MORSE, thue_morse_complexity),
+    ], ids=["fibonacci", "tribonacci", "thue-morse"])
+    def test_closed_forms(self, sigma, closed_form):
+        window, values = window_profile(sigma, 200)
+        assert window < 4000
+        assert values == tuple(closed_form(n) for n in range(1, 201))
+
+    def test_thue_morse_formula(self):
+        word = fixed_point_prefix(THUE_MORSE, 0, 4096).prefix(4096)
+        assert [complexity_bruteforce(word, n) for n in range(1, 41)] == [
+            thue_morse_complexity(n) for n in range(1, 41)
+        ]
+
+    def test_matches_a_ten_times_longer_prefix(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 200:
+            size = rng.randint(2, 4)
+            images = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]
+                      for _ in range(size)]
+            images[0] = [0] + images[0]
+            sigma = Substitution.from_rules(
+                Alphabet(tuple(str(i) for i in range(size))),
+                {str(c): "".join(map(str, img)) for c, img in enumerate(images)},
+            )
+            if not is_primitive(incidence_matrix(sigma)):
+                continue
+            n_max = rng.randint(1, 40)
+            stream = fixed_point_prefix(sigma, 0, 10**6)
+            window = factor_window(sigma, stream, n_max, 10**6)
+            assert n_max <= window
+            assert (complexity_profile(stream.prefix(window), n_max).values
+                    == complexity_profile(stream.prefix(10 * window), n_max).values)
+            checked += 1
+
+    def test_none_outside_the_certificate(self):
+        slow = Substitution.from_rules(BINARY, {"0": "001", "1": "1"})  # not primitive
+        assert factor_window(slow, fixed_point_prefix(slow, 0, 10**4), 5, 10**4) is None
+        stream = fixed_point_prefix(FIBONACCI_SUBST, 0, 10**4)
+        assert factor_window(FIBONACCI_SUBST, stream, 0, 10**4) is None
+        assert factor_window(FIBONACCI_SUBST, stream, 11, 10) is None
+        assert factor_window(FIBONACCI_SUBST, stream, 200, 10**4) == 1364
+        assert factor_window(FIBONACCI_SUBST, stream, 200, 1363) is None
+        # "00" first ends at letter 4 of 01001...: the scan stops at the limit
+        assert factor_window(FIBONACCI_SUBST, stream, 1, 3) is None
+        assert factor_window(FIBONACCI_SUBST, stream, 1, 4) == 4
