@@ -145,11 +145,11 @@ class IntPolynomial(Record):
 
     def __init__(self, coefficients):
         c = _trim(coefficients)
+        if not c:
+            raise ValueError("a polynomial needs at least one coefficient")
         if any(x != int(x) for x in c):
             raise ValueError("coefficients must be integers")
         c = tuple(int(x) for x in c)
-        if c[-1] == 0 and len(c) > 1:
-            raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", c)
 
     @property
@@ -490,9 +490,6 @@ class RealApprox(Record):
 
     def contains(self, x) -> bool:
         return self.lower <= x <= self.upper
-
-    def overlaps(self, other: "RealApprox") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
 
 
 class RootBracket:

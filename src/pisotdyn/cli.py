@@ -23,9 +23,9 @@ from .substitution import (
     FixedPointError,
     Substitution,
     classify_pisot,
-    factor_window,
     fixed_point_prefix,
     iterate,
+    language_prefix,
 )
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -113,11 +113,7 @@ def entropy(args):
         raise UsageError("provide exactly one of --spec / --word")
     n_max = args.n_max
     if args.spec_path:
-        sigma = _load_subst(args.spec_path)
-        stream = fixed_point_prefix(sigma, 0, args.prefix_len)
-        # p_n of the certified window is p_n of the whole prefix
-        window = factor_window(sigma, stream, n_max, args.prefix_len)
-        w = stream.prefix(window or args.prefix_len)
+        w = language_prefix(_load_subst(args.spec_path), 0, n_max, args.prefix_len)
     else:
         ab = words.Alphabet(tuple(args.alphabet))
         w = ab.word(args.raw_word)
@@ -249,8 +245,7 @@ def quantum_cmd(args):
         args.steps, args.seed,
     )
     if args.fmt == "json":
-        payload = json.loads(run.manifest_json())
-        payload["letter_rates"] = [fmt12(r) for r in run.letter_rates]
+        payload = dict(run.manifest, letter_rates=[fmt12(r) for r in run.letter_rates])
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         _emit_angles(run.angles, args.fmt, args.out)

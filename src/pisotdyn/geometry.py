@@ -29,9 +29,6 @@ class AngleList(Record):
     def __len__(self):
         return len(self.angles)
 
-    def points(self):
-        return [(math.cos(t), math.sin(t)) for t in self.angles]
-
     def to_csv(self) -> str:
         cos, sin = math.cos, math.sin
         lines = ["k,theta,x,y"]

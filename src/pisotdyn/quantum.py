@@ -4,7 +4,6 @@ second-kind incidence-matrix dynamics and measurement-driven spacing."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -40,16 +39,6 @@ class QuantumState(Record):
             amps = {w: a / norm for w, a in amps.items()}
         items = tuple(sorted(amps.items(), key=lambda kv: kv[0].letters))
         return cls(items, renormalized)
-
-    @property
-    def support(self):
-        return [w for w, _ in self.amplitudes]
-
-    def amplitude(self, w: Word) -> complex:
-        for word, a in self.amplitudes:
-            if word.letters == w.letters:
-                return a
-        return 0j
 
 
 def basis_state(w: Word) -> QuantumState:
@@ -147,9 +136,6 @@ class SpacingRun(Record):
             counts[o] += 1
         return tuple(c / n for c in counts)
 
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest, sort_keys=True)
-
 
 def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
                              n_steps: int, seed: int) -> SpacingRun:
@@ -195,6 +181,6 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
         "N": n_steps,
         "beta0": beta0,
         "beta1": beta1,
-        "substitution": json.loads(sigma.to_json()),
+        "substitution": sigma.to_dict(),
     }
     return SpacingRun(AngleList(tuple(angles)), tuple(outcomes), manifest)

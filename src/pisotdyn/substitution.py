@@ -25,7 +25,7 @@ from .words import Alphabet, PrefixStream, Word, entropy_estimate
 
 class FixedPointError(ValueError):
     """Raised when sigma(a) does not begin with a; carries the smallest
-    power p <= |A|+1 (if any) such that sigma^p(a) starts with a."""
+    power p (if any) such that sigma^p(a) starts with a."""
 
     def __init__(self, message, suggested_power: int | None = None):
         super().__init__(message)
@@ -62,15 +62,12 @@ class Substitution(Record):
         alphabet = Alphabet(tuple(data["alphabet"]))
         return cls.from_rules(alphabet, data["rules"])
 
+    def to_dict(self) -> dict:
+        symbols = self.alphabet.symbols
+        return {"alphabet": list(symbols), "rules": dict(zip(symbols, map(str, self.rules)))}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alphabet": list(self.alphabet.symbols),
-                "rules": {
-                    s: str(self.rules[i]) for i, s in enumerate(self.alphabet.symbols)
-                },
-            }
-        )
+        return json.dumps(self.to_dict())
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self after other: (self.compose(other))(a) = self(other(a))."""
@@ -144,26 +141,35 @@ def iterate_length(sigma: Substitution, letter: int, k: int) -> int:
     return sum(letter_counts(sigma, letter, k))
 
 
+def _fixed_point_power(sigma: Substitution, letter: int) -> int | None:
+    """The least p such that sigma^p(letter) starts with letter and has at
+    least 2 letters, or None.  sigma^p(letter) starts with f^p(letter), f
+    the first-letter map, so p is the period of letter under f (at most
+    |A|), and sigma^p(letter) is one letter only when every image along
+    the cycle is.  No sigma^p(letter) is built."""
+    images = _images(sigma)
+    c, grows = letter, False
+    for p in range(1, sigma.alphabet.size + 1):
+        grows = grows or len(images[c]) >= 2
+        c = images[c][0]
+        if c == letter:
+            return p if grows else None
+    return None
+
+
 def fixed_point_prefix(sigma: Substitution, letter: int, length: int) -> PrefixStream:
     """Stream of the fixed point sigma-bar(letter).
 
     Requires sigma(letter) to start with letter and have length >= 2;
     otherwise raises FixedPointError suggesting a power that works.
     """
-    img = sigma.rules[letter]
-    if img.letters[0] != letter or len(img) < 2:
-        suggestion = None
-        for p in range(2, sigma.alphabet.size + 2):
-            w = iterate(sigma, letter, p)
-            if w.letters[0] == letter and len(w) >= 2:
-                suggestion = p
-                break
+    power = _fixed_point_power(sigma, letter)
+    if power != 1:
         raise FixedPointError(
             f"sigma({sigma.alphabet.symbols[letter]}) does not admit a fixed point"
-            + (f"; sigma^{suggestion} does" if suggestion else ""),
-            suggested_power=suggestion,
+            + (f"; sigma^{power} does" if power else ""),
+            suggested_power=power,
         )
-
     return PrefixStream(sigma.alphabet, _images(sigma), letter)
 
 
@@ -209,6 +215,14 @@ def factor_window(sigma: Substitution, stream: PrefixStream, n_max: int,
         lengths = [sum(map(lengths.__getitem__, img)) for img in images]
     window = sum(map(lengths.__getitem__, letters[:m]))
     return window if window <= limit else None
+
+
+def language_prefix(sigma: Substitution, letter: int, n_max: int, prefix_len: int) -> Word:
+    """The prefix of sigma's fixed point from `letter` on which to count
+    p_1 .. p_n_max: the factor window when there is one, else all
+    `prefix_len` letters.  Both give the same counts."""
+    stream = fixed_point_prefix(sigma, letter, prefix_len)
+    return stream.prefix(factor_window(sigma, stream, n_max, prefix_len) or prefix_len)
 
 
 class PisotReport(Record):
@@ -296,29 +310,17 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
 
 def substitution_entropy_estimate(sigma: Substitution, n: int, prefix_len: int):
     """Finite-n estimator of the topological entropy of sigma: the sum of
-    entropy estimates over all letters admitting a fixed point.  Returns
-    (value, flags); when no letter qualifies, flags['needs_power'] suggests
-    the smallest power that does."""
-    total = 0.0
-    found = False
-    flags = {}
-    for a in range(sigma.alphabet.size):
-        img = sigma.rules[a]
-        if img.letters[0] == a and len(img) >= 2:
-            found = True
-            stream = fixed_point_prefix(sigma, a, prefix_len)
-            total += entropy_estimate(stream.prefix(prefix_len), n)
-    if not found:
-        for p in range(2, sigma.alphabet.size + 2):
-            sp = sigma.power(p)
-            if any(
-                sp.rules[a].letters[0] == a and len(sp.rules[a]) >= 2
-                for a in range(sigma.alphabet.size)
-            ):
-                flags["needs_power"] = p
-                break
-        return None, flags
-    return total, flags
+    entropy estimates over all letters admitting a fixed point, each
+    counted on its language_prefix.  Returns (value, flags); when no letter
+    qualifies, flags['needs_power'] suggests the smallest power that does."""
+    powers = [_fixed_point_power(sigma, a) for a in range(sigma.alphabet.size)]
+    if 1 not in powers:
+        found = [p for p in powers if p]
+        return None, {"needs_power": min(found)} if found else {}
+    return sum(
+        entropy_estimate(language_prefix(sigma, a, n, prefix_len), n)
+        for a, p in enumerate(powers) if p == 1
+    ), {}
 
 
 # the three named substitutions

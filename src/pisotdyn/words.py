@@ -165,15 +165,6 @@ class ComplexityProfile(Record):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "prefix_length", prefix_length)
 
-    def entropy(self, base_size: int, n: int) -> float:
-        return entropy_from_count(self.values[n - 1], base_size, n)
-
-    def to_csv(self, base_size: int) -> str:
-        lines = ["n,p_n,entropy_estimate"]
-        for i, p in enumerate(self.values, start=1):
-            lines.append(f"{i},{p},{entropy_from_count(p, base_size, i)!r}")
-        return "\n".join(lines) + "\n"
-
 
 class _SparseTable(dict):
     """A transition table that stores only the transitions that exist."""
@@ -256,13 +247,9 @@ def entropy_from_count(p_n: int, base_size: int, n: int) -> float:
     return log(p_n, base_size) / n
 
 
-def entropy_estimate(prefix: Word, n: int, warn=None) -> float:
-    """log_{|A|} p_n / n.  Sets warn['truncated'] when the window count
-    forces p_n below |A|^n (the estimate is then a lower bound)."""
-    p = complexity(prefix, n)
-    if warn is not None:
-        warn["truncated"] = prefix.alphabet.size**n > len(prefix) - n + 1
-    return entropy_from_count(p, prefix.alphabet.size, n)
+def entropy_estimate(prefix: Word, n: int) -> float:
+    """log_{|A|} p_n / n."""
+    return entropy_from_count(complexity(prefix, n), prefix.alphabet.size, n)
 
 
 def empirical_frequencies(prefix: Word) -> tuple:

@@ -55,6 +55,9 @@ class TestIntPolynomial:
     def test_leading_zero_trimmed(self):
         p = IntPolynomial((1, 2, 0, 0))
         assert p.coefficients == (1, 2)
+        assert IntPolynomial((0, 0)).coefficients == (0,)
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            IntPolynomial(())
 
     def test_reciprocal(self):
         assert GOLDEN.reciprocal().coefficients == (1, -1, -1)

@@ -12,3 +12,35 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def _names_outside(tree, skip):
+    """Every name a module uses, imports or reads as an attribute, outside
+    the subtree `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_private_definitions_are_used():
+    # a module-level _function or _Class that nothing else in the package
+    # names is dead code
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    unused = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in _names_outside(other, node) for other in trees.values())
+    ]
+    assert not unused, f"unreferenced private definitions: {unused}"

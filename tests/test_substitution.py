@@ -1,10 +1,12 @@
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pisotdyn import substitution
 from pisotdyn.algebraic import FIBONACCI, PADOVAN, PELL, is_primitive, is_pv, recurrence_term
 from pisotdyn.substitution import (
     FIBONACCI_SUBST,
@@ -12,6 +14,7 @@ from pisotdyn.substitution import (
     PELL_SUBST,
     FixedPointError,
     Substitution,
+    _fixed_point_power,
     apply,
     classify_pisot,
     factor_window,
@@ -19,6 +22,7 @@ from pisotdyn.substitution import (
     incidence_matrix,
     iterate,
     iterate_length,
+    language_prefix,
     letter_counts,
     substitution_entropy_estimate,
 )
@@ -29,6 +33,7 @@ from pisotdyn.words import (
     complexity_bruteforce,
     complexity_profile,
     empirical_frequencies,
+    entropy_estimate,
 )
 
 THUE_MORSE = Substitution.from_rules(Alphabet(("0", "1")), {"0": "01", "1": "10"})
@@ -290,6 +295,88 @@ class TestEntropyOfSubstitution:
         assert value is None
         assert flags["needs_power"] == 3
 
+    def test_matches_the_full_prefix_estimator(self):
+        rng = random.Random(9)
+        cases = [(s, 30, 3000) for s in (FIBONACCI_SUBST, PELL_SUBST, THUE_MORSE,
+                                         TRIBONACCI_SUBST, PADOVAN_SUBST, SWAP, CYCLES)]
+        for _ in range(200):
+            size = rng.randint(2, 4)
+            images = [[rng.randrange(size) for _ in range(rng.randint(1, 3))]
+                      for _ in range(size)]
+            cases.append((spec(images), rng.randint(1, 30), rng.randint(30, 3000)))
+        for sigma, n, prefix_len in cases:
+            assert (substitution_entropy_estimate(sigma, n, prefix_len)
+                    == reference_entropy_estimate(sigma, n, prefix_len))
+        assert substitution_entropy_estimate(SWAP, 10, 100) == (None, {})
+        assert substitution_entropy_estimate(CYCLES, 10, 100) == (None, {"needs_power": 2})
+
+    def test_fibonacci_counts_on_the_window(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(substitution, "entropy_estimate",
+                            lambda w, n: counted.append(len(w)) or entropy_estimate(w, n))
+        value, flags = substitution_entropy_estimate(FIBONACCI_SUBST, 200, 500_000)
+        assert counted == [1364]
+        assert (value, flags) == (math.log2(201) / 200, {})
+
+
+def spec(images):
+    """The substitution c -> images[c] on the letters 0, 1, ..."""
+    alphabet = Alphabet(tuple(str(i) for i in range(len(images))))
+    return Substitution.from_rules(
+        alphabet, {str(c): ",".join(map(str, img)) for c, img in enumerate(images)}
+    )
+
+
+SWAP = spec([[1], [0]])  # no power has a fixed point
+# first letters cycle 0 -> 1 -> 2 -> 0 and 3 -> 4 -> 3: sigma^2 is the
+# least power with a fixed point
+CYCLES = spec([[1, 0], [2], [0], [4, 3], [3]])
+
+
+def reference_entropy_estimate(sigma, n, prefix_len):
+    """The estimator as it was before language_prefix: each fixed point
+    counted on all prefix_len letters, and the power found by composing
+    sigma with itself."""
+    total, found, flags = 0.0, False, {}
+    for a in range(sigma.alphabet.size):
+        img = sigma.rules[a]
+        if img.letters[0] == a and len(img) >= 2:
+            found = True
+            word = fixed_point_prefix(sigma, a, prefix_len).prefix(prefix_len)
+            total += entropy_estimate(word, n)
+    if not found:
+        for p in range(2, sigma.alphabet.size + 2):
+            sp = sigma.power(p)
+            if any(sp.rules[a].letters[0] == a and len(sp.rules[a]) >= 2
+                   for a in range(sigma.alphabet.size)):
+                flags["needs_power"] = p
+                break
+        return None, flags
+    return total, flags
+
+
+class TestFixedPointPower:
+    def test_matches_the_iterates(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            size = rng.randint(2, 5)
+            sigma = spec([[rng.randrange(size) for _ in range(rng.choice((1, 1, 2, 3)))]
+                          for _ in range(size)])
+            for a in range(size):
+                expected = next(
+                    (p for p in range(1, size + 2)
+                     if iterate(sigma, a, p).letters[0] == a and len(iterate(sigma, a, p)) >= 2),
+                    None,
+                )
+                assert _fixed_point_power(sigma, a) == expected
+
+    def test_builds_no_iterate(self):
+        # sigma^40(0) would hold 2^40 letters
+        cycle = spec([[(c + 1) % 40] * 2 for c in range(40)])
+        with pytest.raises(FixedPointError) as err:
+            fixed_point_prefix(cycle, 0, 10)
+        assert err.value.suggested_power == 40
+
 
 TRIBONACCI_SUBST = Substitution.from_rules(TERNARY, {"0": "01", "1": "02", "2": "0"})
 
@@ -361,3 +448,37 @@ class TestFactorWindow:
         # "00" first ends at letter 4 of 01001...: the scan stops at the limit
         assert factor_window(FIBONACCI_SUBST, stream, 1, 3) is None
         assert factor_window(FIBONACCI_SUBST, stream, 1, 4) == 4
+
+
+class TestLanguagePrefix:
+    @pytest.mark.parametrize("sigma", [FIBONACCI_SUBST, TRIBONACCI_SUBST, THUE_MORSE, PELL_SUBST],
+                             ids=["fibonacci", "tribonacci", "thue-morse", "pell"])
+    def test_named_profiles_match_the_full_prefix(self, sigma):
+        word = language_prefix(sigma, 0, 200, 20_000)
+        full = fixed_point_prefix(sigma, 0, 20_000).prefix(20_000)
+        assert len(word) < 4000 and full.letters.startswith(word.letters)
+        assert complexity_profile(word, 200).values == complexity_profile(full, 200).values
+
+    def test_random_profiles_match_the_full_prefix(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 200:
+            size = rng.randint(2, 4)
+            sigma = spec([[rng.randrange(size) for _ in range(rng.randint(1, 4))]
+                          for _ in range(size)])
+            letters = [a for a in range(size) if _fixed_point_power(sigma, a) == 1]
+            if not letters or not is_primitive(incidence_matrix(sigma)):
+                continue
+            a, n_max, prefix_len = rng.choice(letters), rng.randint(1, 40), rng.randint(40, 20_000)
+            word = language_prefix(sigma, a, n_max, prefix_len)
+            full = fixed_point_prefix(sigma, a, prefix_len).prefix(prefix_len)
+            assert full.letters.startswith(word.letters)
+            assert complexity_profile(word, n_max).values == complexity_profile(full, n_max).values
+            checked += 1
+
+    def test_full_prefix_outside_the_window(self):
+        slow = Substitution.from_rules(BINARY, {"0": "001", "1": "1"})  # not primitive
+        assert len(language_prefix(slow, 0, 5, 1000)) == 1000
+        assert len(language_prefix(FIBONACCI_SUBST, 0, 200, 1363)) == 1363  # window: 1364
+        assert len(language_prefix(FIBONACCI_SUBST, 0, 200, 1364)) == 1364
+        assert len(language_prefix(FIBONACCI_SUBST, 0, 200, 10**4)) == 1364

@@ -195,11 +195,6 @@ class TestEntropy:
         word = w("00110")
         assert entropy_estimate(word, 2) == 1.0
 
-    def test_truncation_flag(self):
-        flags = {}
-        entropy_estimate(w("0101"), 2, warn=flags)
-        assert flags["truncated"] is True  # 2^2 > 4-2+1
-
 
 class TestFrequencies:
     def test_exact_counts(self):
