@@ -163,10 +163,6 @@ class IntPolynomial(Record):
     def __call__(self, x):
         return _peval(self.coefficients, x)
 
-    def reciprocal(self) -> "IntPolynomial":
-        """z^deg * p(1/z): reversed coefficients."""
-        return IntPolynomial(tuple(reversed(self.coefficients)))
-
     def repeated_part(self) -> "IntPolynomial":
         """gcd(p, p'), whose roots are the repeated roots of p: the last
         member of p's Sturm chain, primitive with a positive lead."""
@@ -191,7 +187,7 @@ class IntPolynomial(Record):
             return Fraction(1)
         return 1 + max(Fraction(abs(c), lead) for c in self.coefficients[:-1])
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coefficients[i]
@@ -201,7 +197,7 @@ class IntPolynomial(Record):
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else str(abs(c))
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+                term = f"{mag}x" + (f"^{i}" if i > 1 else "")
             parts.append(("- " if c < 0 else "+ ") + term)
         if not parts:
             return "0"
@@ -297,18 +293,38 @@ def _union(rows) -> int:
     return out
 
 
+def normalized_iterates(m: IntMatrix, v, norm):
+    """The normalized power iterates v_k = M v_(k-1) / norm(M v_(k-1)) on
+    floats, from v_0 = v, as tuples.
+
+    The float map is deterministic, so once v_k equals v_(k-2) the iterates
+    alternate between v_(k-1) and v_k for ever (a fixed point is the case
+    v_(k-1) = v_k): the generator stops after yielding that v_k.
+    """
+    before, last = None, tuple(v)
+    while True:
+        w = m.apply(last)
+        s = norm(w)
+        w = tuple(x / s for x in w)
+        yield w
+        if w == before:
+            return
+        before, last = last, w
+
+
 def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
     """Normalized power iteration on floats: v <- M v / norm(M v) until no
     entry moves by tol, at most n_max steps.  Returns (vector, steps)."""
-    steps = 0
-    for steps in range(1, n_max + 1):
-        w = m.apply(v)
-        s = norm(w)
-        w = [x / s for x in w]
-        if max(abs(a - b) for a, b in zip(w, v)) < tol:
-            return tuple(w), steps
-        v = w
-    return tuple(v), steps
+    before, last, steps = None, tuple(v), 0
+    for steps, w in zip(range(1, n_max + 1), normalized_iterates(m, v, norm)):
+        if max(abs(a - b) for a, b in zip(w, last)) < tol:
+            return w, steps
+        before, last = last, w
+    if steps < n_max and (n_max - steps) % 2:
+        # the generator stopped: later iterates alternate between before
+        # and last, never within tol, so step n_max lands on before
+        return before, n_max
+    return last, n_max
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +503,6 @@ class RealApprox(Record):
 
     def __float__(self) -> float:
         return float(self.midpoint)
-
-    def contains(self, x) -> bool:
-        return self.lower <= x <= self.upper
 
 
 class RootBracket:
@@ -761,16 +774,3 @@ PADOVAN = Recurrence((0, 1, 1), (1, 1, 1))
 
 def recurrence_term(r: Recurrence, n: int) -> int:
     return r.term(n)
-
-
-def ratio_limit_check(r: Recurrence, p: IntPolynomial, n: int,
-                      width: Fraction = Fraction(1, 10**15)) -> RealApprox:
-    """Certified interval for |f_n / f_{n-1} - lambda|."""
-    f_prev = r.term(n - 1)
-    if f_prev == 0:
-        raise ZeroDivisionError("f_{n-1} is zero")
-    ratio = Fraction(r.term(n), f_prev)
-    iv = refine_root(p, dominant_root_interval(p), width)
-    a, b = ratio - iv.upper, ratio - iv.lower
-    lo_abs = Fraction(0) if a <= 0 <= b else min(abs(a), abs(b))
-    return RealApprox(lo_abs, max(abs(a), abs(b)))

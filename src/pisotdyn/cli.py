@@ -20,7 +20,6 @@ from . import algebraic, crystal, geometry, quantum, words
 from .algebraic import IntPolynomial
 from .geometry import fmt12
 from .substitution import (
-    FixedPointError,
     Substitution,
     classify_pisot,
     fixed_point_prefix,
@@ -54,7 +53,9 @@ def _parse_angle(option: str, text: str) -> float:
             raise UsageError(
                 f"invalid value for {option}: not an angle or named constant: {text!r}"
             ) from None
-    return value % (2 * math.pi)
+    # a tiny negative angle rounds up to 2*pi itself, which is 0
+    value %= 2 * math.pi
+    return 0.0 if value == 2 * math.pi else value
 
 
 def _parse_poly(text: str) -> IntPolynomial:
@@ -91,16 +92,7 @@ def subst(args):
     elif args.action == "iterate":
         _emit(str(iterate(sigma, a, args.power)), args.out)
     elif args.action == "fixpoint":
-        try:
-            stream = fixed_point_prefix(sigma, a, args.length)
-        except FixedPointError as e:
-            hint = (
-                f" (try --power {e.suggested_power} of the substitution)"
-                if e.suggested_power
-                else ""
-            )
-            raise ValueError(str(e) + hint) from None
-        _emit(str(stream.prefix(args.length)), args.out)
+        _emit(str(fixed_point_prefix(sigma, a, args.length).prefix(args.length)), args.out)
     else:
         report = classify_pisot(sigma)
         _emit(json.dumps(report.to_dict(), sort_keys=True), args.out)

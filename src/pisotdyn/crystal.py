@@ -153,19 +153,6 @@ def representation(alphabet: Alphabet, q: Fraction, digits: int) -> Word:
     return Word(alphabet, tuple(out))
 
 
-def alphabet_transition(a1: Alphabet, a2: Alphabet, prefix: Word, digits: int):
-    """r_{A2}(v_{A1}(prefix)) truncated to `digits` letters.
-
-    Returns (word, error_bound) with the truncation error |A1|^-|prefix|
-    inherited from the finite input prefix.
-    """
-    if len(prefix) == 0:
-        raise ValueError("empty prefix")
-    value = numeric_value(a1, prefix)
-    bound = Fraction(1, a1.size ** len(prefix))
-    return representation(a2, value, digits), bound
-
-
 # ---------------------------------------------------------------------------
 # generalized Cantor sets
 

@@ -13,6 +13,9 @@ from .record import Record
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
 TWO_PI = 2.0 * math.pi
+# the distance at which gap_statistics clusters gaps and diagonal_polygon
+# identifies points, radii and side lengths
+_TOLERANCE = 1e-9
 
 
 class AngleList(Record):
@@ -37,34 +40,30 @@ class AngleList(Record):
                   for k, t in enumerate(self.angles, start=1)]
         return "\n".join(lines) + "\n"
 
-    def to_svg(self, size: int = 400, stroke: str = "#1a6baf",
-               stroke_width: float = 1.0, mode: str = "petals") -> str:
-        """Self-contained SVG: unit circle plus petal segments (center to
-        each point) or a cusp polyline through consecutive points."""
-        c = size / 2.0
-        r = 0.45 * size
+    def to_svg(self, mode: str = "petals") -> str:
+        """Self-contained 400 x 400 SVG: unit circle plus petal segments
+        (center to each point) or a cusp polyline through consecutive
+        points."""
+        c, r = 200.0, 180.0
+        stroke = 'stroke="#1a6baf" stroke-width="1.0"/>'
 
         def xy(t):
             return (c + r * math.cos(t), c - r * math.sin(t))
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">',
+            '<svg xmlns="http://www.w3.org/2000/svg" width="400" '
+            'height="400" viewBox="0 0 400 400">',
             f'<circle cx="{c}" cy="{c}" r="{r}" fill="none" stroke="#888" '
-            f'stroke-width="{stroke_width}"/>',
+            'stroke-width="1.0"/>',
         ]
         if mode == "cusp":
             pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(xy, self.angles))
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-                f'stroke-width="{stroke_width}"/>'
-            )
+            parts.append(f'<polyline points="{pts}" fill="none" {stroke}')
         else:
             for t in self.angles:
                 x, y = xy(t)
                 parts.append(
-                    f'<line x1="{c}" y1="{c}" x2="{x:.3f}" y2="{y:.3f}" '
-                    f'stroke="{stroke}" stroke-width="{stroke_width}"/>'
+                    f'<line x1="{c}" y1="{c}" x2="{x:.3f}" y2="{y:.3f}" {stroke}'
                 )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
@@ -91,14 +90,14 @@ def roots_of_unity(n: int) -> AngleList:
 
 
 def cyclotomic_sum(n: int) -> complex:
-    """Vector sum of the n-th roots of unity (numerically ~ 0)."""
-    import numpy as np  # numpy's only user: keep it out of CLI start-up
+    """Vector sum of the n-th roots of unity: exactly 0.
 
+    They are the n roots of z^n - 1, so by Vieta's formulas their sum is
+    minus its z^(n-1) coefficient, which is 0 for n >= 2.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    k = np.arange(1, n + 1)
-    z = np.exp(2j * np.pi * k / n)
-    return complex(z.sum())
+    return 0j
 
 
 class GapStats(Record):
@@ -113,14 +112,14 @@ class GapStats(Record):
         object.__setattr__(self, "distinct_gaps", distinct_gaps)
 
 
-def gap_statistics(a: AngleList, tolerance: float = 1e-9) -> GapStats:
+def gap_statistics(a: AngleList) -> GapStats:
     """Cyclic gap statistics of an angle list.
 
     Gaps are consecutive differences of the sorted angles plus the
     wraparound gap.  Exactness conventions: when every gap is <= pi the gap
     sum telescopes to exactly 2*pi, so the mean is reported as 2*pi/n
     without float accumulation; when all gaps agree within the clustering
-    tolerance the variance is reported as exactly 0.0.
+    tolerance 1e-9 the variance is reported as exactly 0.0.
     """
     if len(a) < 2:
         raise ValueError("need at least 2 angles")
@@ -128,8 +127,8 @@ def gap_statistics(a: AngleList, tolerance: float = 1e-9) -> GapStats:
     n = len(s)
     raw = [s[i + 1] - s[i] for i in range(n - 1)] + [TWO_PI - (s[-1] - s[0])]
     gaps = [min(g, TWO_PI - g) for g in raw]
-    clusters = _cluster(sorted(gaps), tolerance)
-    if all(g <= math.pi + tolerance for g in raw):
+    clusters = _cluster(sorted(gaps), _TOLERANCE)
+    if all(g <= math.pi + _TOLERANCE for g in raw):
         mean = TWO_PI / n
     else:
         mean = sum(gaps) / n
@@ -175,13 +174,13 @@ def _seg_intersection(p1, p2, p3, p4, eps=1e-12):
     return None
 
 
-def diagonal_polygon(n: int, tolerance: float = 1e-9):
+def diagonal_polygon(n: int):
     """Diagonal intersections of the regular n-gon on the unit circle.
 
     Returns (inner_ring_vertices, self_similar) where self_similar is
     (scaling, rotation) when the innermost intersection ring is itself a
     regular n-gon, else None.  The inner ring is the set of intersection
-    points at minimal distance from the origin (within tolerance); the
+    points at minimal distance from the origin (within 1e-9); the
     reported rotation is the vertex-matching representative nearest pi.
     """
     if n < 5:
@@ -202,15 +201,15 @@ def diagonal_polygon(n: int, tolerance: float = 1e-9):
     # dedupe
     uniq = []
     for p in pts:
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) < tolerance for q in uniq):
+        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) < _TOLERANCE for q in uniq):
             uniq.append(p)
     radii = [math.hypot(x, y) for x, y in uniq]
     r_min = min(radii)
-    ring = [p for p, r in zip(uniq, radii) if r - r_min <= tolerance]
+    ring = [p for p, r in zip(uniq, radii) if r - r_min <= _TOLERANCE]
     ring.sort(key=lambda p: math.atan2(p[1], p[0]) % TWO_PI)
 
     self_similar = None
-    if len(ring) == n and r_min > tolerance:
+    if len(ring) == n and r_min > _TOLERANCE:
         rads = [math.hypot(x, y) for x, y in ring]
         sides = [
             math.hypot(
@@ -218,8 +217,8 @@ def diagonal_polygon(n: int, tolerance: float = 1e-9):
             )
             for i in range(n)
         ]
-        regular = (max(rads) - min(rads) <= tolerance * max(1.0, max(rads))) and (
-            max(sides) - min(sides) <= tolerance * max(1.0, max(sides))
+        regular = (max(rads) - min(rads) <= _TOLERANCE * max(1.0, max(rads))) and (
+            max(sides) - min(sides) <= _TOLERANCE * max(1.0, max(sides))
         )
         if regular:
             scaling = sum(rads) / n

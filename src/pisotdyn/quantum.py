@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import cycle, islice
 
-from .algebraic import IntMatrix, is_primitive, power_iteration
+from .algebraic import IntMatrix, is_primitive, normalized_iterates, power_iteration
 from .geometry import TWO_PI, AngleList
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
@@ -97,9 +98,13 @@ def quantum_entropy_estimate(psi: QuantumState, n: int) -> float:
 # ---------------------------------------------------------------------------
 # second kind: the incidence matrix on the letter space
 
-def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
-                      tol: float = 1e-13):
-    """Normalized power iteration from the basis letter `start`.
+def _l2_norm(w) -> float:
+    return math.sqrt(sum(x * x for x in w))
+
+
+def second_kind_limit(m: IntMatrix, start: int, tol: float = 1e-13):
+    """Normalized power iteration from the basis letter `start`, at most
+    1000 steps.
 
     Returns (perron_vector, probabilities, iterations) with the vector
     normalized in l2 and Pr(a) = |<a|e_lambda>|^2.
@@ -107,7 +112,7 @@ def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
     if not is_primitive(m):
         raise ValueError("second_kind_limit requires a primitive matrix")
     v = [float(i == start) for i in range(m.dimension)]
-    v, its = power_iteration(m, v, lambda w: math.sqrt(sum(x * x for x in w)), tol, n_max)
+    v, its = power_iteration(m, v, _l2_norm, tol, 1000)
     return v, tuple(x * x for x in v), its
 
 
@@ -115,17 +120,15 @@ def second_kind_limit(m: IntMatrix, start: int, n_max: int = 1000,
 # measurement-driven spacing (the classical simulation of the procedure)
 
 class SpacingRun(Record):
-    """The result of a measurement-driven run; mutable and unhashable."""
+    """The result of a measurement-driven run (unhashable: the manifest is
+    a dict)."""
 
     __slots__ = _fields = ("angles", "outcomes", "manifest")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, angles: AngleList, outcomes: tuple, manifest: dict):
-        self.angles = angles
-        self.outcomes = outcomes
-        self.manifest = manifest
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "manifest", manifest)
 
     @property
     def letter_rates(self) -> tuple:
@@ -150,22 +153,11 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
-    (a, b), (c, d) = incidence_matrix(sigma).entries
     draw = random.Random(seed).random
-    # p0 at each step of the normalized iteration; once the vector is its
-    # own image exactly as floats, every later step repeats it.  The 2x2
-    # step stays inline: power_iteration's generic step is several times
-    # slower, and a run takes one step per angle.
-    p0s = []
-    x, y = 1.0, 0.0
-    while len(p0s) < n_steps:
-        wx, wy = a * x + b * y, c * x + d * y
-        norm = math.sqrt(wx * wx + wy * wy)
-        wx, wy = wx / norm, wy / norm
-        p0s.append(wx * wx)
-        if wx == x and wy == y:
-            p0s += [p0s[-1]] * (n_steps - len(p0s))
-        x, y = wx, wy
+    iterates = normalized_iterates(incidence_matrix(sigma), (1.0, 0.0), _l2_norm)
+    p0s = [v[0] * v[0] for v in islice(iterates, n_steps)]
+    # a stop before n_steps: the iterates alternate between the last two
+    p0s += islice(cycle(p0s[-2:]), n_steps - len(p0s))
     theta = 0.0
     angles = []
     outcomes = []

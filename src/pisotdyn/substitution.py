@@ -277,11 +277,12 @@ class PisotReport(Record):
         }
 
 
-def perron_frequencies(m: IntMatrix, tol: float = 1e-14, n_max: int = 10000) -> tuple:
-    """Perron eigenvector of a primitive matrix, normalized to sum 1,
-    by power iteration on floats (cross-checked symbolically in tests)."""
+def perron_frequencies(m: IntMatrix) -> tuple:
+    """Perron eigenvector of a primitive matrix, normalized to sum 1, by
+    power iteration on floats to a step below 1e-14, at most 10^4 steps
+    (cross-checked symbolically in tests)."""
     d = m.dimension
-    return power_iteration(m, [1.0 / d] * d, sum, tol, n_max)[0]
+    return power_iteration(m, [1.0 / d] * d, sum, 1e-14, 10000)[0]
 
 
 def classify_pisot(sigma: Substitution) -> PisotReport:

@@ -159,11 +159,10 @@ def complexity(prefix: Word, n: int) -> int:
 
 
 class ComplexityProfile(Record):
-    __slots__ = _fields = ("values", "prefix_length")  # values: p_1 .. p_N
+    __slots__ = _fields = ("values",)  # p_1 .. p_N
 
-    def __init__(self, values: tuple, prefix_length: int):
+    def __init__(self, values: tuple):
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "prefix_length", prefix_length)
 
 
 class _SparseTable(dict):
@@ -238,7 +237,7 @@ def complexity_profile(prefix: Word, n_max: int) -> ComplexityProfile:
     for n in range(n_max):
         acc += link_short[n] - own_short[n]
         values.append(acc)
-    return ComplexityProfile(tuple(values), len(prefix))
+    return ComplexityProfile(tuple(values))
 
 
 def entropy_from_count(p_n: int, base_size: int, n: int) -> float:

@@ -26,10 +26,10 @@ from pisotdyn.algebraic import (
     irreducible_over_q,
     is_primitive,
     is_pv,
+    power_iteration,
     power_sums,
     pv_decay,
     pv_verdict,
-    ratio_limit_check,
     recurrence_term,
     refine_root,
     root_layout,
@@ -58,9 +58,6 @@ class TestIntPolynomial:
         assert IntPolynomial((0, 0)).coefficients == (0,)
         with pytest.raises(ValueError, match="at least one coefficient"):
             IntPolynomial(())
-
-    def test_reciprocal(self):
-        assert GOLDEN.reciprocal().coefficients == (1, -1, -1)
 
     def test_squarefree(self):
         assert GOLDEN.is_squarefree()
@@ -151,6 +148,48 @@ class TestPrimitivity:
         # a 256-cycle is not primitive; the Wielandt bound is 65,026
         m = IntMatrix([[int(j == (i + 1) % 256) for j in range(256)] for i in range(256)])
         assert not is_primitive(m)
+
+
+def _stepwise_power_iteration(m, v, norm, tol, n_max):
+    """Normalized power iteration that takes every step up to n_max."""
+    steps = 0
+    for steps in range(1, n_max + 1):
+        w = m.apply(v)
+        s = norm(w)
+        w = [x / s for x in w]
+        if max(abs(a - b) for a, b in zip(w, v)) < tol:
+            return tuple(w), steps
+        v = w
+    return tuple(v), steps
+
+
+def _l2(w):
+    return math.sqrt(sum(x * x for x in w))
+
+
+class TestPowerIteration:
+    def test_matches_the_stepwise_loop_on_random_primitive_matrices(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 6)
+            m = IntMatrix(tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                                for _ in range(n)))
+            if not is_primitive(m):
+                continue
+            start = [1.0 / n] * n if checked % 2 else [float(i == 0) for i in range(n)]
+            for norm, tol in ((sum, 1e-14), (_l2, 1e-13), (_l2, 1e-15)):
+                assert (power_iteration(m, start, norm, tol, 1000)
+                        == _stepwise_power_iteration(m, start, norm, tol, 1000))
+            checked += 1
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 99, 100])
+    def test_alternating_iterates_end_on_the_step_the_loop_ends_on(self, n_max):
+        # the iterates of [[2, 2], [1, 0]] alternate between two float
+        # vectors, so tol 0 is never met and n_max's parity picks the vector
+        m = IntMatrix(((2, 2), (1, 0)))
+        assert (power_iteration(m, [1.0, 0.0], _l2, 0.0, n_max)
+                == _stepwise_power_iteration(m, [1.0, 0.0], _l2, 0.0, n_max))
 
 
 class TestSchurCohn:
@@ -387,14 +426,14 @@ class TestRootLayout:
 
     def test_pv(self):
         layout = root_layout(IntPolynomial((1, -4, 1)))  # 2 ± sqrt(3)
-        assert layout.pv and layout.lam.contains(Fraction(3732050807568877, 10**15))
+        assert layout.pv and layout.lam.lower <= Fraction(3732050807568877, 10**15) <= layout.lam.upper
         assert layout.counts == schur_cohn(IntPolynomial((1, -4, 1)))
 
     def test_roots_at_zero(self):
         # z (z - 2) and z^2 (z^2 - z - 1): lambda simple, p(0) = 0
         for coeffs, lam in (((0, -2, 1), 2), ((0, 0, -1, -1, 1), GOLDEN_RATIO)):
             layout = root_layout(IntPolynomial(coeffs))
-            assert layout.lam.contains(lam) and not layout.pv
+            assert layout.lam.lower <= lam <= layout.lam.upper and not layout.pv
 
     def test_repeated_lambda(self):
         # (z^2 - z - 1)^2 and z (z - 2)^2
@@ -463,6 +502,14 @@ class TestDecay:
         assert up - down <= 3 * n * ((up >> bits) + 1)
 
 
+def ratio_error_bound(r: Recurrence, p: IntPolynomial, n: int) -> Fraction:
+    """A certified upper bound on |f_n / f_(n-1) - lambda|, lambda the root
+    of p in (1, cauchy bound] bracketed to 10^-15."""
+    ratio = Fraction(r.term(n), r.term(n - 1))
+    iv = refine_root(p, dominant_root_interval(p), Fraction(1, 10**15))
+    return max(abs(ratio - iv.lower), abs(ratio - iv.upper))
+
+
 class TestRecurrences:
     def test_fibonacci(self):
         assert recurrence_term(FIBONACCI, 7) == 13
@@ -474,9 +521,9 @@ class TestRecurrences:
         assert recurrence_term(PELL, 5) == 29
 
     def test_ratio_limit(self):
-        assert float(ratio_limit_check(FIBONACCI, GOLDEN, 20).upper) < 1e-7
-        assert float(ratio_limit_check(PELL, SILVER, 15).upper) < 1e-9
-        assert float(ratio_limit_check(PADOVAN, PLASTIC, 40).upper) < 1e-4
+        assert ratio_error_bound(FIBONACCI, GOLDEN, 20) < 1e-7
+        assert ratio_error_bound(PELL, SILVER, 15) < 1e-9
+        assert ratio_error_bound(PADOVAN, PLASTIC, 40) < 1e-4
 
     def test_binet_remark(self):
         # |F_n * sqrt(5) - tau^n| < 2 * tau^-n for n <= 30
@@ -491,7 +538,7 @@ class TestRecurrences:
 class TestRealApprox:
     def test_interval_invariants(self):
         iv = RealApprox(Fraction(1), Fraction(2))
-        assert iv.contains(Fraction(3, 2))
+        assert iv.lower <= Fraction(3, 2) <= iv.upper
         assert float(iv) == 1.5
         with pytest.raises(ValueError):
             RealApprox(Fraction(2), Fraction(1))
@@ -556,9 +603,9 @@ class TestRootBracket:
         # (x - 1)(2x - 5): p(1) = 0 must not serve as the sign reference
         p = IntPolynomial((5, -7, 2))
         iv = dominant_root_interval(p)
-        assert iv.contains(Fraction(5, 2)) and iv.width <= Fraction(1, 10**12)
+        assert iv.lower <= Fraction(5, 2) <= iv.upper and iv.width <= Fraction(1, 10**12)
         fine = refine_root(p, iv, Fraction(1, 10**40))
-        assert fine.contains(Fraction(5, 2)) and fine.width <= Fraction(1, 10**40)
+        assert fine.lower <= Fraction(5, 2) <= fine.upper and fine.width <= Fraction(1, 10**40)
 
     def test_root_at_upper_end(self):
         p = IntPolynomial((5, -7, 2))
@@ -571,8 +618,7 @@ class TestRootBracket:
         r = Recurrence((2, 0, -1), (0, 1, 1))
         p = IntPolynomial((1, 0, -2, 1))
         assert r.term(40) == FIBONACCI.term(40)
-        iv = ratio_limit_check(r, p, 40)
-        assert iv.upper < Fraction(1, 10**15)
+        assert ratio_error_bound(r, p, 40) < Fraction(1, 10**15)
 
     def test_root_at_lower_end(self):
         p = IntPolynomial(EXACT_ROOT)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pisotdyn.cli import main
+from pisotdyn.cli import _parse_angle, main
 
 FIB_SPEC = '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}}'
 PELL_SPEC = '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "001"}}'
@@ -83,11 +84,14 @@ class TestSubst:
         assert lo <= 2.41421 <= hi or abs((lo + hi) / 2 - 2.41421356) < 1e-5
 
     def test_fixpoint_error_suggests_power(self, runner, tmp_path):
+        # the library's message names the power that works; fixpoint has no
+        # option to take it, so the CLI adds nothing and entropy says the same
         p = tmp_path / "padovan.json"
         p.write_text(PADOVAN_SPEC)
-        r = runner.invoke(main, ["subst", str(p), "fixpoint"])
-        assert r.exit_code != 0
-        assert "3" in r.output
+        for argv in (["subst", str(p), "fixpoint"], ["entropy", "--spec", str(p)]):
+            r = runner.invoke(main, argv)
+            assert r.exit_code == 1 and r.stdout == ""
+            assert r.stderr == "Error: sigma(0) does not admit a fixed point; sigma^3 does\n"
 
     def test_malformed_spec(self, runner, tmp_path):
         p = tmp_path / "bad.json"
@@ -209,6 +213,24 @@ class TestQuantum:
         assert a.output == b.output
         payload = json.loads(a.output)
         assert payload["seed"] == 5 and payload["schema"] == 1
+
+
+class TestAngles:
+    @pytest.mark.parametrize("text", ["-1e-20", "-5e-324", "-0.0", "0", "6.283185307179586"])
+    def test_angles_that_reduce_to_zero(self, text):
+        # a tiny negative angle is 2*pi after rounding, which [0, 2*pi) holds as 0
+        assert _parse_angle("--beta0", text) == 0.0
+
+    def test_reduction_into_the_circle(self):
+        assert _parse_angle("--beta0", "-1") == 2 * math.pi - 1
+        assert _parse_angle("--beta1", "7") == 7 - 2 * math.pi
+        assert _parse_angle("--beta0", "pi") == math.pi
+
+    @pytest.mark.parametrize("text", ["-1e-20", "-5e-324"])
+    def test_quantum_manifest_prints_zero(self, runner, fib_path, text):
+        r = runner.invoke(main, ["quantum", "--spec", fib_path, "--seed", "1", "-N", "3",
+                                 "--format", "json", "--beta0", text])
+        assert r.exit_code == 0 and json.loads(r.stdout)["beta0"] == 0.0
 
 
 class TestDeterminism:

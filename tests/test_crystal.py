@@ -9,7 +9,6 @@ from pisotdyn.crystal import (
     MIDDLE_THIRD,
     CantorSpec,
     allowed_orders,
-    alphabet_transition,
     cantor_function_value,
     euler_phi,
     factorize,
@@ -118,15 +117,16 @@ class TestRepresentation:
 
 
 class TestAlphabetTransition:
+    # a prefix over one alphabet re-expanded over another: r_B(v_A(prefix))
+
     def test_binary_to_ternary(self):
         b = Alphabet(("0", "1"))
-        word, bound = alphabet_transition(b, TERNARY, b.word("1"), 3)
+        word = representation(TERNARY, numeric_value(b, b.word("1")), 3)
         assert str(word) == "111"
-        assert bound == Fraction(1, 2)
 
     def test_ternary_to_binary(self):
         b = Alphabet(("0", "1"))
-        word, _ = alphabet_transition(TERNARY, b, TERNARY.word("202"), 8)
+        word = representation(b, numeric_value(TERNARY, TERNARY.word("202")), 8)
         assert numeric_value(b, word) <= Fraction(20, 27)
 
 

@@ -60,11 +60,14 @@ class TestRootsOfUnity:
 
 class TestCyclotomic:
     def test_small(self):
-        assert abs(cyclotomic_sum(2)) < 1e-12
-        assert abs(cyclotomic_sum(3)) < 1e-12
+        assert cyclotomic_sum(2) == cyclotomic_sum(3) == 0j
 
     def test_large(self):
-        assert abs(cyclotomic_sum(360)) < 1e-9
+        assert cyclotomic_sum(360) == 0j
+
+    def test_minimum(self):
+        with pytest.raises(ValueError):
+            cyclotomic_sum(1)
 
 
 class TestGapStats:
@@ -77,7 +80,7 @@ class TestGapStats:
         # multiples of the golden rotation have at most 3 distinct gaps
         alpha = TWO_PI / TAU**2
         angles = AngleList(tuple((k * alpha) % TWO_PI for k in range(1, 101)))
-        stats = gap_statistics(angles, tolerance=1e-9)
+        stats = gap_statistics(angles)
         assert stats.distinct_gaps <= 3
 
     def test_rotation_invariance(self):

@@ -1,8 +1,12 @@
 import math
 import random
+import types
+from itertools import islice
 
 import pytest
 
+import pisotdyn.quantum as quantum
+from pisotdyn.algebraic import normalized_iterates
 from pisotdyn.quantum import (
     QuantumState,
     apply_first_kind,
@@ -169,9 +173,10 @@ class TestSimulation:
 
     @staticmethod
     def full_step_reference(sigma, beta0, beta1, n_steps, seed):
-        """The loop that steps the 2x2 iteration at every angle: angles,
-        outcomes, p0 per step, and the first step whose normalized vector
-        is its own image (None if none is)."""
+        """The loop that steps the 2x2 iteration at every angle, with the
+        float operations of the simulation's iterates: angles, outcomes, p0
+        per step, and the first step whose normalized vector is its own
+        image (None if none is)."""
         m = incidence_matrix(sigma).entries
         rng = random.Random(seed)
         v, theta, angles, outcomes, p0s, fixed = [1.0, 0.0], 0.0, [], [], [], None
@@ -203,22 +208,43 @@ class TestSimulation:
         assert (fixed is not None) == reaches_fixed_point
         assert run.angles.angles == angles and run.outcomes == outcomes
 
-    @SPECS
-    def test_every_p0_is_the_full_step_value(self, monkeypatch, rules, reaches_fixed_point):
+    @classmethod
+    def assert_every_p0_is_the_full_step_value(cls, monkeypatch, sigma, n_steps):
         # draws placed on the reference p0 and just below it: a step draws 1
         # against the first exactly when its p0 is <= the reference, and 0
         # against the second exactly when it is >= the reference
-        import types
-
-        import pisotdyn.quantum as quantum
-
-        sigma = Substitution.from_rules(BINARY, rules)
-        _, _, p0s, _ = self.full_step_reference(sigma, 1.0, 2.0, 300, 0)
+        _, _, p0s, _ = cls.full_step_reference(sigma, 1.0, 2.0, n_steps, 0)
         for draws, letter in ((p0s, 1), ([math.nextafter(p, 0.0) for p in p0s], 0)):
             source = types.SimpleNamespace(random=iter(draws).__next__)
             monkeypatch.setattr(quantum, "random",
                                 types.SimpleNamespace(Random=lambda seed: source))
-            assert quantum_spacing_simulate(sigma, 1.0, 2.0, 300, 0).outcomes == (letter,) * 300
+            run = quantum_spacing_simulate(sigma, 1.0, 2.0, n_steps, 0)
+            assert run.outcomes == (letter,) * n_steps
+
+    @SPECS
+    def test_every_p0_is_the_full_step_value(self, monkeypatch, rules, reaches_fixed_point):
+        sigma = Substitution.from_rules(BINARY, rules)
+        self.assert_every_p0_is_the_full_step_value(monkeypatch, sigma, 300)
+
+    # incidence matrix [[2, 2], [1, 0]], eigenvalues 1 +- sqrt(3): primitive
+    # and Pisot, and its normalized float iterates alternate for ever
+    ALTERNATING = {"0": "001", "1": "00"}
+
+    @pytest.mark.parametrize("rules", [ALTERNATING, {"0": "01", "1": "0"}, {"0": "01", "1": "001"}],
+                             ids=["001-00", "fibonacci", "pell"])
+    def test_long_runs_match_the_full_step_loop(self, monkeypatch, rules):
+        sigma = Substitution.from_rules(BINARY, rules)
+        run = quantum_spacing_simulate(sigma, 1.25, 4.5, 20_000, 3)
+        angles, outcomes, _, _ = self.full_step_reference(sigma, 1.25, 4.5, 20_000, 3)
+        assert run.angles.angles == angles and run.outcomes == outcomes
+        self.assert_every_p0_is_the_full_step_value(monkeypatch, sigma, 20_000)
+
+    def test_alternating_iterates_stop_early(self):
+        m = incidence_matrix(Substitution.from_rules(BINARY, self.ALTERNATING))
+        l2 = lambda w: math.sqrt(sum(x * x for x in w))
+        iterates = list(islice(normalized_iterates(m, (1.0, 0.0), l2), 10**5))
+        assert len(iterates) <= 64
+        assert iterates[-1] == iterates[-3] != iterates[-2]
 
     def test_manifest(self):
         run = quantum_spacing_simulate(FIBONACCI_SUBST, 1.0, 2.0, 10, 1)

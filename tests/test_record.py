@@ -24,7 +24,7 @@ RECORDS = [
     (Recurrence, ((1, 1), (0, 1))),
     (Alphabet, (("0", "1"),)),
     (Word, (AB, b"\x00\x01")),
-    (ComplexityProfile, ((2, 3), 10)),
+    (ComplexityProfile, ((2, 3),)),
     (AngleList, ((0.5, 1.5),)),
     (GapStats, (1.0, 0.0, 1.0, 1.0, 1)),
     (CantorSpec, (Alphabet(("0", "1", "2")), 1)),
@@ -59,9 +59,11 @@ def test_report_caches_its_bound_and_stays_frozen():
         report.primitive = False
 
 
-def test_spacing_run_is_mutable_and_unhashable():
+def test_spacing_run_is_frozen_and_unhashable():
+    # frozen as every record; its manifest is a dict, so it has no hash
     run = SpacingRun(AngleList((0.5,)), (0,), {})
-    run.outcomes = (1,)
-    assert run == SpacingRun(AngleList((0.5,)), (1,), {})
+    assert run == SpacingRun(AngleList((0.5,)), (0,), {})
+    with pytest.raises(AttributeError):
+        run.outcomes = (1,)
     with pytest.raises(TypeError):
         hash(run)

@@ -1,9 +1,11 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "pisotdyn").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "pisotdyn").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -44,3 +46,22 @@ def test_private_definitions_are_used():
         and not any(node.name in _names_outside(other, node) for other in trees.values())
     ]
     assert not unused, f"unreferenced private definitions: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_the_standard_library(path):
+    # the package has no runtime dependency: numpy and the oracles are test-only
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    foreign = [m for m in modules
+               if m.split(".")[0] not in sys.stdlib_module_names | {"pisotdyn"}]
+    assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_project_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert "dependencies" not in project
