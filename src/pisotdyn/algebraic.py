@@ -563,6 +563,20 @@ class RootBracket:
         self.lo, self.hi, self._shift = lo, hi, shift
         return self
 
+    def powers(self, bits: int, k: int):
+        """Bounds [lo, hi] / 2^bits on root^k, root^(k+1), ... for a root
+        >= 0: the bracket is bisected to width 2^-bits and its ends taken as
+        P = bits dyadic mantissas, floored and ceiled; root^k is their
+        outward-rounded square and multiply power, and each later power is
+        one product rounded down and one rounded up."""
+        self.bisect(Fraction(1, 1 << bits))
+        den = self.den
+        x_lo, x_hi = (self.lo << bits) // den, -(-(self.hi << bits) // den)
+        lo, hi = _pow_rounded(x_lo, k, bits, up=False), _pow_rounded(x_hi, k, bits, up=True)
+        while True:
+            yield lo, hi
+            lo, hi = lo * x_lo >> bits, -(-hi * x_hi >> bits)
+
     def approx(self) -> RealApprox:
         den = self.den
         return RealApprox(Fraction(self.lo, den), Fraction(self.hi, den))
@@ -724,11 +738,7 @@ def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
     lam = float(iv.upper)
     precision = int(2 * n * max(1.0, math.log2(lam))) + 64
     bits = precision + math.ceil(n * math.log2(lam + 1)) + 64
-    root = RootBracket(p, iv.lower, iv.upper).bisect(Fraction(1, 1 << bits))
-    lo = (root.lo << bits) // root.den
-    hi = -(-(root.hi << bits) // root.den)
-    lo_n = _pow_rounded(lo, n, bits, up=False)
-    hi_n = _pow_rounded(hi, n, bits, up=True)
+    lo_n, hi_n = next(RootBracket(p, iv.lower, iv.upper).powers(bits, n))
     if (hi_n - lo_n) << precision > 1 << bits:
         raise ArithmeticError("pv_decay interval wider than its precision")
     a, b = (s << bits) - hi_n, (s << bits) - lo_n  # 2^bits (s_n - lambda^n)

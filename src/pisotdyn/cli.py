@@ -53,6 +53,8 @@ def _parse_angle(option: str, text: str) -> float:
             raise UsageError(
                 f"invalid value for {option}: not an angle or named constant: {text!r}"
             ) from None
+        if not math.isfinite(value):
+            raise UsageError(f"invalid value for {option}: not a finite angle: {text!r}")
     # a tiny negative angle rounds up to 2*pi itself, which is 0
     value %= 2 * math.pi
     return 0.0 if value == 2 * math.pi else value

@@ -5,8 +5,6 @@ curves and substitution-driven spacing."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from fractions import Fraction
 
 from .algebraic import IntPolynomial, RootBracket, root_layout
 from .record import Record
@@ -16,6 +14,8 @@ TWO_PI = 2.0 * math.pi
 # the distance at which gap_statistics clusters gaps and diagonal_polygon
 # identifies points, radii and side lengths
 _TOLERANCE = 1e-9
+# below this, f or 2*pi*f may be a subnormal float, short of 53 bits
+_NORMAL_FRAC = 2.0**-1021
 
 
 class AngleList(Record):
@@ -24,8 +24,10 @@ class AngleList(Record):
     __slots__ = _fields = ("angles",)
 
     def __init__(self, angles):
-        a = tuple(float(x) for x in angles)
-        if any(not 0.0 <= x < TWO_PI for x in a):
+        a = tuple(map(float, angles))
+        # NaN fails every comparison, so min and max may skip it; with the
+        # other angles in range, the sum is NaN exactly when one is there
+        if a and not (0.0 <= min(a) and max(a) < TWO_PI and not math.isnan(sum(a))):
             raise ValueError("angles must lie in [0, 2*pi)")
         object.__setattr__(self, "angles", a)
 
@@ -125,34 +127,32 @@ def gap_statistics(a: AngleList) -> GapStats:
         raise ValueError("need at least 2 angles")
     s = sorted(a.angles)
     n = len(s)
-    raw = [s[i + 1] - s[i] for i in range(n - 1)] + [TWO_PI - (s[-1] - s[0])]
-    gaps = [min(g, TWO_PI - g) for g in raw]
-    clusters = _cluster(sorted(gaps), _TOLERANCE)
-    if all(g <= math.pi + _TOLERANCE for g in raw):
+    raw = [y - x for x, y in zip(s, s[1:])] + [TWO_PI - (s[-1] - s[0])]
+    top = max(raw)
+    # min(g, 2*pi - g), written out: 2*pi - g >= pi exactly when g <= pi
+    gaps = [g if g <= math.pi else TWO_PI - g for g in raw]
+    ordered = sorted(gaps)
+    # a new cluster starts at each gap more than the tolerance above the
+    # first gap of the current one
+    distinct, first = 1, ordered[0]
+    for g in ordered:
+        if g - first > _TOLERANCE:
+            distinct, first = distinct + 1, g
+    if top <= math.pi + _TOLERANCE:
         mean = TWO_PI / n
     else:
         mean = sum(gaps) / n
-    if len(clusters) == 1:
+    if distinct == 1:
         variance = 0.0
     else:
         variance = sum((g - mean) ** 2 for g in gaps) / n
     return GapStats(
         mean=mean,
         variance=variance,
-        min_gap=min(gaps),
-        max_gap=max(gaps),
-        distinct_gaps=len(clusters),
+        min_gap=ordered[0],
+        max_gap=ordered[-1],
+        distinct_gaps=distinct,
     )
-
-
-def _cluster(sorted_vals: Sequence[float], tol: float):
-    groups = [[sorted_vals[0]]]
-    for v in sorted_vals[1:]:
-        if v - groups[-1][0] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +234,40 @@ def diagonal_polygon(n: int):
 # ---------------------------------------------------------------------------
 # cusp curves
 
+def _two_pi(bits: int) -> tuple[int, int]:
+    """Integers lo < 2^bits * 2*pi < hi, three apart, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) summed on integers."""
+    one = 1 << (bits + 32)
+
+    def arctan_inv(x):
+        # each term is floor(one / (n x^n)), less than 1 below its exact
+        # value, and the first term left out is below 1, so the sum is
+        # within (terms + 1) of one * arctan(1/x)
+        total, power, n = 0, one // x, 1
+        while power:
+            total += (power // n) if n % 4 == 1 else -(power // n)
+            power, n = power // (x * x), n + 2
+        return total
+
+    # 2*pi*one = 32 arctan(1/5) one - 8 arctan(1/239) one lies within
+    # 20 (bits + 34) < 2^31 of the sum, for bits < 10^8
+    approx = (32 * arctan_inv(5) - 8 * arctan_inv(239)) >> 32
+    return approx - 1, approx + 2
+
+
 def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> AngleList:
     """theta_k = 2*pi*frac(lambda^k) for k = 1..K, lambda the PV root of p.
 
-    lambda^k is evaluated in exact interval arithmetic refined until the
-    fractional part is determined to the requested precision.
+    lambda is bracketed once on P-bit dyadic mantissas, P = precision_bits
+    + 64, and lambda^k runs as one product rounded down and one rounded up
+    per k.  theta_k is accepted once the floor of lambda^k is decided, the
+    interval is at most 2^-precision_bits wide and both ends of
+    frac(lambda^k) round to the same float f; theta_k is then 2*pi*f, so
+    the printed angle is determined by f.  Where 2*pi*f would fall below
+    the normal floats, theta_k is instead the float both ends of
+    2*pi*frac(lambda^k) round to.  While theta_k is undecided, P doubles,
+    lambda's bracket is bisected further and lambda^k is rebuilt by square
+    and multiply.
     """
     layout = root_layout(p)
     if not layout.pv:
@@ -247,19 +276,30 @@ def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> Angle
         raise ValueError("K must be >= 1")
     if precision_bits < 0:
         raise ValueError("precision bits must be >= 0")
+    if p.degree == 1:  # lambda = -p(0), so every lambda^k is whole
+        return AngleList((0.0,) * big_k)
     root = RootBracket(p, layout.lam.lower, layout.lam.upper)
-    out = []
-    # lambda^k lies in [lo_k/den_k, hi_k/den_k]: running products of the
-    # bracket's ends, recomputed only when the bracket is refined
-    lo_k = hi_k = den_k = 1
-    for k in range(1, big_k + 1):
-        lo_k, hi_k, den_k = lo_k * root.lo, hi_k * root.hi, den_k * root.den
-        while (hi_k - lo_k) << precision_bits > den_k or lo_k // den_k != hi_k // den_k:
-            root.bisect(Fraction(root.hi - root.lo, 4 * root.den))
-            lo_k, hi_k, den_k = root.lo**k, root.hi**k, root.den**k
-        whole = lo_k // den_k
-        frac = (lo_k + hi_k - 2 * whole * den_k) / (2 * den_k)
-        out.append((TWO_PI * frac) % TWO_PI)
+    out, bits = [], precision_bits + 64
+    while len(out) < big_k:
+        one = 1 << bits
+        pi_lo, pi_hi = _two_pi(bits)
+        # lambda^k lies in [lo, hi] / 2^bits, and 2*pi in [pi_lo, pi_hi] / 2^bits
+        for lo, hi in root.powers(bits, len(out) + 1):
+            frac_lo, frac_hi = lo & (one - 1), hi & (one - 1)
+            f = frac_lo / one
+            if (lo >> bits != hi >> bits or (hi - lo) << precision_bits > one
+                    or frac_hi / one != f):
+                break
+            if f >= _NORMAL_FRAC:
+                theta = (TWO_PI * f) % TWO_PI
+            else:
+                theta = frac_lo * pi_lo / (one << bits)
+                if frac_hi * pi_hi / (one << bits) != theta:
+                    break
+            out.append(theta)
+            if len(out) == big_k:
+                break
+        bits *= 2
     return AngleList(tuple(out))
 
 

@@ -20,6 +20,7 @@ from pisotdyn.algebraic import (
     NotSquarefreeError,
     RealApprox,
     Recurrence,
+    RootBracket,
     char_poly,
     conjugate_modulus_bound,
     dominant_root_interval,
@@ -500,6 +501,21 @@ class TestDecay:
         assert Fraction(down, 1 << bits) <= exact <= Fraction(up, 1 << bits)
         # each side is off by under 1.5 n ulps per unit of the power
         assert up - down <= 3 * n * ((up >> bits) + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([GOLDEN, SILVER, PLASTIC, IntPolynomial((-1, -1, -1, 1))]),
+           st.integers(8, 400), st.integers(1, 300))
+    def test_running_powers_bound_the_exact_power(self, p, bits, k):
+        # the cusp kernel: lambda^k by square and multiply, then one rounded
+        # product per power, on a bracket bisected to 2^-bits
+        lam = root_layout(p).lam
+        powers = RootBracket(p, lam.lower, lam.upper).powers(bits, k)
+        with mpmath.workprec(bits + 2 * k + 200):  # lambda < 4
+            f = lambda x: mpmath.polyval(list(reversed(p.coefficients)), x)
+            exact = mpmath.findroot(f, mpmath.mpf(float(lam.upper)))
+            for j, (lo, hi) in zip(range(k, k + 4), powers):
+                scaled = exact**j * mpmath.mpf(2) ** bits
+                assert lo <= scaled <= hi, (j, bits)
 
 
 def ratio_error_bound(r: Recurrence, p: IntPolynomial, n: int) -> Fraction:

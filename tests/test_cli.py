@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,14 @@ class TestSpacing:
         assert payload["gap_variance"] == "0"
         assert payload["distinct_gaps"] == 1
 
+    def test_thousand_golden_cusps_are_quick(self, runner):
+        # each refinement of lambda once raised both ends to the k-th power
+        # again: 41 s for these 1000 angles
+        start = time.perf_counter()
+        r = runner.invoke(main, ["spacing", "cusps", "--poly", "-1,-1,1", "-n", "1000"])
+        assert time.perf_counter() - start < 5.0
+        assert r.exit_code == 0 and len(r.stdout.splitlines()) == 1001
+
     def test_cusps_needs_pv(self, runner):
         r = runner.invoke(main, ["spacing", "cusps", "--poly", "-3,0,1", "-n", "5"])
         assert r.exit_code != 0
@@ -231,6 +240,18 @@ class TestAngles:
         r = runner.invoke(main, ["quantum", "--spec", fib_path, "--seed", "1", "-N", "3",
                                  "--format", "json", "--beta0", text])
         assert r.exit_code == 0 and json.loads(r.stdout)["beta0"] == 0.0
+
+    @pytest.mark.parametrize("option", ["--beta0", "--beta1"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", [
+        ["spacing", "drive", "--spec", "{fib}", "-n", "5"],
+        ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "5"],
+    ], ids=["drive", "quantum"])
+    def test_non_finite_angle_is_a_usage_error(self, runner, fib_path, command, option, text):
+        r = runner.invoke(main, [a.format(fib=fib_path) for a in command] + [f"{option}={text}"])
+        assert_clean_error(r)
+        assert r.exit_code == 2
+        assert r.stderr == f"Error: invalid value for {option}: not a finite angle: {text!r}\n"
 
 
 class TestDeterminism:
@@ -342,10 +363,13 @@ def test_small_integers_never_escape(fib_spec, argv, n):
 # replaced click; and of complexity profiles, primitive, non-primitive and
 # on a prefix shorter than the certified factor window, and of a long
 # quantum CSV, taken before entropy counted on that window and the
-# quantum run stopped stepping at a float fixed point
+# quantum run stopped stepping at a float fixed point.  The golden cusps
+# were taken again when cusp curves came to be certified to the printed
+# digit: 24 of their tiny angles (k = 129, 135, 137, ..., 179) had printed
+# wrong under an absolute width of 2^-128, and now match an mpmath oracle
 PINNED = [
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "180"],
-     "4eb699675d037ac9e6809d4b8b7ff586a1379cd24e68ecbc5bfe1e2dd1df4b0f"),
+     "b402e6655bc5a071ab083e61a74d961696c5ed031ece638dfa41199e0dabdb6b"),
     (["spacing", "cusps", "--poly", "-1,-1,0,1", "-n", "200"],
      "9b97ad42fbdf361ae1d813c830c0b9166aa310af48d85af95e9db6620d89bb02"),
     (["spacing", "cusps", "--poly", "-1,-1,-1,1", "-n", "160"],

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from pisotdyn.algebraic import IntPolynomial
 from pisotdyn.geometry import (
+    _two_pi,
     TWO_PI,
     AngleList,
     cusp_curve,
@@ -22,6 +26,46 @@ from pisotdyn.substitution import FIBONACCI_SUBST, PELL_SUBST, fixed_point_prefi
 TAU = (1 + math.sqrt(5)) / 2
 GOLDEN = IntPolynomial((-1, -1, 1))
 SILVER = IntPolynomial((-1, -2, 1))
+PLASTIC = IntPolynomial((-1, -1, 0, 1))
+TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
+
+
+def perfbench_pool():
+    """The PV cubics and quartics of perfbench/workloads.pisot_pool()."""
+    path = str(Path(__file__).parents[1] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(path)
+    return [IntPolynomial(coeffs) for coeffs, _ in workloads.pisot_pool()]
+
+
+def wrongly_printed(p, angles):
+    """The k whose printed theta_k is not fmt12 of the exact
+    2*pi*frac(lambda^k) rounded to a float, lambda^k from mpmath at three
+    times the bits it takes.  An exact angle that rounds to 2*pi is the
+    point 0 of the circle: it may print as 0 or as 2*pi."""
+    coeffs = list(reversed(p.coefficients))
+    f = lambda x: mpmath.polyval(coeffs, x)
+    x0 = max(r.real for r in mpmath.polyroots(coeffs) if abs(r.imag) < 1e-9)
+    wrong = []
+    with mpmath.workprec(3 * (int(len(angles) * math.log2(x0)) + 128)):
+        lam, power, two_pi = mpmath.findroot(f, mpmath.mpf(x0)), mpmath.mpf(1), 2 * mpmath.pi
+        for k, theta in enumerate(angles, start=1):
+            power *= lam
+            exact = float(two_pi * mpmath.frac(power))
+            right = {fmt12(exact % TWO_PI)} | ({fmt12(exact)} if exact == TWO_PI else set())
+            if fmt12(theta) not in right:
+                wrong.append(k)
+    return wrong
+
+
+ORACLE_CASES = {
+    (p.coefficients, big_k): (p, big_k)
+    for p, big_k in [(GOLDEN, 200), (SILVER, 200), (PLASTIC, 200), (TRIBONACCI, 200)]
+    + [(p, 200) for p in perfbench_pool()] + [(GOLDEN, 1000), (SILVER, 1000)]
+}
 
 
 class TestGeodesic:
@@ -95,6 +139,43 @@ class TestGapStats:
         with pytest.raises(ValueError):
             gap_statistics(AngleList((1.0,)))
 
+    def test_distinct_gaps_cluster_from_each_first_gap(self):
+        # a cluster opens at its least gap and holds the gaps within 1e-9
+        # of it, so gaps 0.6e-9 apart chain into clusters of two
+        rng = random.Random(11)
+        palette = [0.1, 0.1 + 6e-10, 0.1 + 1.2e-9, 0.1 + 1.8e-9, 0.25, 0.25 + 2e-9]
+        for _ in range(200):
+            # the wraparound gap is sometimes above pi and folds to 2*pi - gap
+            angles, t, end = [], 0.0, rng.uniform(0.5, TWO_PI - 0.5)
+            while t < end:
+                angles.append(t)
+                t += rng.choice(palette)
+            s = sorted(angles)
+            gaps = sorted(min(g, TWO_PI - g) for g in
+                          [b - a for a, b in zip(s, s[1:])] + [TWO_PI - (s[-1] - s[0])])
+            firsts = [gaps[0]]
+            for g in gaps:
+                if g - firsts[-1] > 1e-9:
+                    firsts.append(g)
+            stats = gap_statistics(AngleList(angles))
+            assert stats.distinct_gaps == len(firsts)
+            assert (stats.min_gap, stats.max_gap) == (gaps[0], gaps[-1])
+
+
+class TestAngleList:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, TWO_PI])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_out_of_range_angle_raises_in_any_place(self, bad, where):
+        angles = [0.5, 1.0, 2.0]
+        angles[where] = bad
+        with pytest.raises(ValueError, match="angles must lie"):
+            AngleList(angles)
+
+    def test_empty_and_edge_angles(self):
+        assert AngleList(()).angles == ()
+        edge = (0.0, math.nextafter(TWO_PI, 0.0), 5e-324)
+        assert AngleList(edge).angles == edge
+
 
 class TestDiagonalPolygon:
     def test_pentagon(self):
@@ -139,6 +220,32 @@ class TestCuspCurve:
     def test_rejects_non_pv(self):
         with pytest.raises(ValueError):
             cusp_curve(IntPolynomial((-3, 0, 1)), 5)
+
+    @pytest.mark.parametrize("p, big_k", ORACLE_CASES.values(),
+                             ids=[f"{p.pretty()} K={k}" for p, k in ORACLE_CASES.values()])
+    def test_every_printed_digit_matches_mpmath(self, p, big_k):
+        # the tiny cusps of golden and silver need far more than 2^-128 of
+        # absolute width; silver's odd ones past k = 816 are subnormal floats
+        assert wrongly_printed(p, cusp_curve(p, big_k).angles) == []
+
+    @pytest.mark.parametrize("p", [GOLDEN, TRIBONACCI], ids=["golden", "tribonacci"])
+    def test_precision_bits_is_a_floor_that_leaves_the_floats(self, p):
+        # each angle is the float its certified interval rounds to, so a
+        # finer width only costs bits
+        angles = cusp_curve(p, 120).angles
+        for bits in (0, 8, 1000):
+            assert cusp_curve(p, 120, bits).angles == angles
+
+    @pytest.mark.parametrize("bits", [0, 1, 64, 333, 4000])
+    def test_two_pi_bounds(self, bits):
+        lo, hi = _two_pi(bits)
+        with mpmath.workprec(bits + 64):
+            assert lo < 2 * mpmath.pi * mpmath.mpf(2) ** bits < hi == lo + 3
+
+    def test_integer_lambda_gives_whole_powers(self):
+        # x - 3 is PV with lambda = 3; no bracket decides floor(3^k), as
+        # every bisection ends on the root itself
+        assert cusp_curve(IntPolynomial((-3, 1)), 4).angles == (0.0,) * 4
 
 
 class TestSubstitutionSpacing:
