@@ -58,9 +58,21 @@ class Substitution(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "Substitution":
+        """The spec `{"alphabet": [symbols], "rules": {symbol: image}}`; a
+        spec that is not of that shape raises ValueError."""
         data = json.loads(text)
-        alphabet = Alphabet(tuple(data["alphabet"]))
-        return cls.from_rules(alphabet, data["rules"])
+        if not isinstance(data, dict):
+            raise ValueError("spec must be a JSON object")
+        for key in ("alphabet", "rules"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        try:
+            symbols = tuple(data["alphabet"])
+        except TypeError:
+            raise ValueError("'alphabet' must be a list of symbols") from None
+        if not isinstance(data["rules"], dict):
+            raise ValueError("'rules' must be a JSON object")
+        return cls.from_rules(Alphabet(symbols), data["rules"])
 
     def to_dict(self) -> dict:
         symbols = self.alphabet.symbols

@@ -324,6 +324,28 @@ def test_alphabet_holds_at_most_256_symbols(runner):
     assert r.stderr == "Error: alphabet holds at most 256 symbols\n"
 
 
+BAD_SPECS = [
+    ('{"0": "01", "1": "0"}', "missing key 'alphabet'"),
+    ('{"alphabet": ["0", "1"]}', "missing key 'rules'"),
+    ('[{"alphabet": ["0", "1"]}]', "spec must be a JSON object"),
+    ('{"alphabet": 5, "rules": {"0": "01", "1": "0"}}', "'alphabet' must be a list of symbols"),
+    ('{"alphabet": ["0", "1"], "rules": ["01", "0"]}', "'rules' must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command", [["subst", "{spec}", "show"],
+                                     ["spacing", "drive", "--spec", "{spec}"]],
+                         ids=["subst", "drive"])
+@pytest.mark.parametrize("spec, message", BAD_SPECS, ids=[m for _, m in BAD_SPECS])
+def test_spec_errors_say_what_is_wrong(runner, tmp_path, command, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(spec)
+    r = runner.invoke(main, [a.format(spec=path) for a in command])
+    assert_clean_error(r)
+    assert r.exit_code == 1
+    assert r.stderr == f"Error: bad substitution spec {path}: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def fib_spec(tmp_path_factory):
     p = tmp_path_factory.mktemp("spec") / "fibonacci.json"
@@ -419,21 +441,32 @@ PINNED_SPECS = {
 }
 
 
-@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
-def test_certified_output_bytes_are_pinned(runner, tmp_path, argv, digest):
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory):
+    """PINNED_SPECS written to files: their paths by name."""
+    directory = tmp_path_factory.mktemp("pinned")
     paths = {}
     for name, spec in PINNED_SPECS.items():
-        paths[name] = str(tmp_path / f"{name}.json")
+        paths[name] = str(directory / f"{name}.json")
         Path(paths[name]).write_text(spec)
-    r = runner.invoke(main, [a.format(**paths) for a in argv])
+    return paths
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+def test_certified_output_bytes_are_pinned(runner, spec_paths, argv, digest):
+    r = runner.invoke(main, [a.format(**spec_paths) for a in argv])
     assert r.exit_code == 0
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest
 
 
 def _env():
+    """The environment of a child CLI process: this tree's package, and
+    stdout buffered, as an installed script has it."""
     import pisotdyn
 
-    return dict(os.environ, PYTHONPATH=str(Path(pisotdyn.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(pisotdyn.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_cli_start_up_does_not_import_numpy():
@@ -450,7 +483,136 @@ def test_cli_start_up_does_not_import_numpy():
     subprocess.run([sys.executable, "-c", code], env=_env(), check=True, timeout=60)
 
 
-def test_module_help_exits_0():
-    r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", "--help"], env=_env(),
-                       capture_output=True, timeout=60)
+# the process entry: `python -m pisotdyn.cli` runs `run`, which ends the
+# process with os._exit once stdout and stderr are flushed
+ENTRY = [sys.executable, "-m", "pisotdyn.cli"]
+# `main` run as a script: it ends through SystemExit and the interpreter's
+# teardown, the exit path the process entry falls back to
+OLD_EXIT = [sys.executable, "-c", "from pisotdyn.cli import main; main()"]
+
+
+def _entry(argv):
+    return subprocess.run(ENTRY + argv, env=_env(), capture_output=True, timeout=60)
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    # argparse wraps help to the terminal width, which COLUMNS fixes in and
+    # out of process
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_module_help_exits_0(runner, columns):
+    r = _entry(["--help"])
     assert r.returncode == 0 and r.stdout.startswith(b"usage: pisotdyn")
+    assert r.stdout == runner.invoke(main, ["--help"]).stdout_bytes
+
+
+# one call per subcommand: a short output waits in stdout's buffer until
+# the flush, and the roots CSV (about 4 MB) and the Thue-Morse iterate
+# (262,145 bytes) are the longest outputs of the benchmark's workloads
+ENTRY_CALLS = [
+    ["subst", "{thue_morse}", "iterate", "-k", "18"],
+    ["entropy", "--spec", "{fib}", "--n-max", "30"],
+    ["spacing", "roots", "-n", "100000", "--format", "csv"],
+    ["pv", "--poly", "-1,-1,0,1"],
+    ["hiller", "--table", "36"],
+    ["cantor", "represent", "--q", "1/3"],
+    ["quantum", "--spec", "{fib}", "--seed", "1", "-N", "100", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_CALLS, ids=[" ".join(argv) for argv in ENTRY_CALLS])
+def test_process_entry_prints_what_main_prints(runner, spec_paths, argv):
+    argv = [a.format(**spec_paths) for a in argv]
+    expected = runner.invoke(main, argv)
+    r = _entry(argv)
+    assert expected.exit_code == 0 and r.returncode == 0 and r.stderr == b""
+    assert len(r.stdout) == len(expected.stdout_bytes)
+    assert r.stdout == expected.stdout_bytes
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hiller"], 2),
+    (["pv", "--poly", "1,x"], 2),
+    (["hiller", "0"], 1),
+    (["subst", "{missing}", "show"], 1),
+], ids=["hiller", "pv 1,x", "hiller 0", "missing spec"])
+def test_process_entry_errors_end_in_one_error_line(runner, tmp_path, columns, argv, code):
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    expected = runner.invoke(main, argv)
+    r = _entry(argv)
+    assert (r.returncode, r.stdout, r.stderr) == (code, b"", expected.stderr.encode())
+    lines = r.stderr.decode().splitlines()
+    assert lines[-1].startswith("Error:")
+    assert sum(line.startswith("Error:") for line in lines) == 1
+
+
+def test_process_entry_writes_the_whole_out_file(runner, tmp_path):
+    argv = ["spacing", "roots", "-n", "100000", "--format", "csv", "--out"]
+    runner.invoke(main, argv + [str(tmp_path / "main.csv")])
+    r = _entry(argv + [str(tmp_path / "entry.csv")])
+    assert (r.returncode, r.stdout, r.stderr) == (0, b"", b"")
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def _with_stdout_closed(command):
+    # sh closes fd 1 before the exec, so the child's sys.stdout is None
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh"] + command, env=_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hiller"], ["hiller", "0"],
+                                  ["hiller", "5", "--out", "{out}"]],
+                         ids=["help", "usage error", "library error", "out"])
+def test_closed_stdout_ends_as_the_old_exit_does(tmp_path, argv):
+    # flushing a stdout that is None fails, so the process entry falls back
+    argv = [a.format(out=tmp_path / "hiller.txt") for a in argv]
+    entry = _with_stdout_closed(ENTRY + argv)
+    old = _with_stdout_closed(OLD_EXIT + argv)
+    assert (entry.returncode, entry.stderr) == (old.returncode, old.stderr)
+
+
+def _head_5(command):
+    """Exit code and stderr of `command` when its stdout pipe is closed after
+    its first 5 bytes are read."""
+    with subprocess.Popen(command, env=_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, bufsize=0) as p:
+        first = b""
+        while len(first) < 5:
+            chunk = p.stdout.read(5 - len(first))
+            if not chunk:
+                break
+            first += chunk
+        p.stdout.close()
+        err = p.stderr.read()
+        assert len(first) == 5
+        return p.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("argv", [["spacing", "roots", "-n", "100000"],
+                                  ["subst", "{thue_morse}", "iterate", "-k", "18"]],
+                         ids=["roots", "iterate"])
+def test_pipe_closed_after_5_bytes_ends_as_the_old_exit_does(spec_paths, argv):
+    argv = [a.format(**spec_paths) for a in argv]
+    assert _head_5(ENTRY + argv) == _head_5(OLD_EXIT + argv)
+
+
+def _into_a_broken_pipe(command):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run(command, env=_env(), stdout=write, stderr=subprocess.PIPE,
+                           timeout=60)
+    finally:
+        os.close(write)
+    return r.returncode, r.stderr
+
+
+@pytest.mark.parametrize("argv", [["hiller", "5"], ["--help"]], ids=["hiller", "help"])
+def test_output_left_in_the_buffer_of_a_broken_pipe_ends_as_the_old_exit_does(argv):
+    # main's output waits in stdout's buffer, the process entry's flush
+    # fails, and the normal exit fails to flush it again and exits 120
+    entry = _into_a_broken_pipe(ENTRY + argv)
+    assert entry == _into_a_broken_pipe(OLD_EXIT + argv)
+    assert entry[0] == 120

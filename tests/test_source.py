@@ -65,3 +65,16 @@ def test_project_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert "dependencies" not in project
+
+
+def test_console_script_is_the_module_entry():
+    # the installed `pisotdyn` ends the process as `python -m pisotdyn.cli` does
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, function = scripts["pisotdyn"].partition(":")
+    assert module == "pisotdyn.cli"
+    tree = ast.parse((ROOT / "src" / "pisotdyn" / "cli.py").read_text())
+    (main_block,) = [node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'"]
+    calls = [node.func.id for node in ast.walk(main_block) if isinstance(node, ast.Call)]
+    assert calls == [function]
