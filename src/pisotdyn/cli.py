@@ -29,6 +29,10 @@ from .substitution import (
 )
 
 TAU = (1 + math.sqrt(5)) / 2
+# the plastic number, the real root of x^3 - x - 1, correctly rounded: both
+# ends of a certified 10^-30 bracket of the root round to it
+RHO = 1.324717957244746
+_NAMED_ANGLES = {"tau": TAU, "pi": math.pi, "rho": RHO}
 
 
 class UsageError(Exception):
@@ -36,18 +40,8 @@ class UsageError(Exception):
 
 
 def _parse_angle(option: str, text: str) -> float:
-    if text == "tau":
-        value = TAU
-    elif text == "pi":
-        value = math.pi
-    elif text == "rho":
-        # the plastic number takes a root isolation, so only when it is named
-        value = float(
-            algebraic.dominant_root_interval(
-                IntPolynomial((-1, -1, 0, 1)), Fraction(1, 10**15)
-            ).midpoint
-        )
-    else:
+    value = _NAMED_ANGLES.get(text)
+    if value is None:
         try:
             value = float(text)
         except ValueError:
@@ -73,16 +67,22 @@ def _load_subst(path: str) -> Substitution:
     try:
         with open(path) as fh:
             return Substitution.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise ValueError(f"bad substitution spec {path}: {e}") from e
 
 
 def _emit(text: str, out):
+    """Write a command's output to the file `out`, or to stdout with a
+    closing newline and flushed, so that a failed write raises OSError
+    here, in main's error boundary."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise OSError("stdout is closed")
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +91,12 @@ def subst(args):
     sigma = _load_subst(args.spec_path)
     a = sigma.alphabet.lex(args.letter) if args.letter else 0
     if args.action == "show":
-        _emit(sigma.to_json(), args.out)
-    elif args.action == "iterate":
-        _emit(str(iterate(sigma, a, args.power)), args.out)
-    elif args.action == "fixpoint":
-        _emit(str(fixed_point_prefix(sigma, a, args.length).prefix(args.length)), args.out)
-    else:
-        report = classify_pisot(sigma)
-        _emit(json.dumps(report.to_dict(), sort_keys=True), args.out)
+        return sigma.to_json()
+    if args.action == "iterate":
+        return str(iterate(sigma, a, args.power))
+    if args.action == "fixpoint":
+        return str(fixed_point_prefix(sigma, a, args.length).prefix(args.length))
+    return json.dumps(classify_pisot(sigma).to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def entropy(args):
         p_n = profile.values[n - 1]
         est = words.entropy_from_count(p_n, w.alphabet.size, n)
         lines.append(f"{n},{p_n},{fmt12(est)},{str(p_n == n + 1).lower()}")
-    _emit("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +138,25 @@ def spacing(args):
             sigma, _parse_angle("--beta0", args.beta0), _parse_angle("--beta1", args.beta1),
             args.count,
         )
-    _emit_angles(angles, args.fmt, args.out, cusp=(args.mode == "cusps"))
+    return _format_angles(angles, args.fmt, cusp=(args.mode == "cusps"))
 
 
-def _emit_angles(angles, fmt, out, cusp=False):
+def _format_angles(angles, fmt, cusp=False):
     if fmt == "csv":
-        _emit(angles.to_csv(), out)
-    elif fmt == "svg":
-        _emit(angles.to_svg(mode="cusp" if cusp else "petals"), out)
-    else:
-        stats = geometry.gap_statistics(angles)
-        _emit(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "angles": [fmt12(t) for t in angles.angles],
-                    "gap_mean": fmt12(stats.mean),
-                    "gap_variance": fmt12(stats.variance),
-                    "distinct_gaps": stats.distinct_gaps,
-                },
-                sort_keys=True,
-            ),
-            out,
-        )
+        return angles.to_csv()
+    if fmt == "svg":
+        return angles.to_svg(mode="cusp" if cusp else "petals")
+    stats = geometry.gap_statistics(angles)
+    return json.dumps(
+        {
+            "schema": 1,
+            "angles": [fmt12(t) for t in angles.angles],
+            "gap_mean": fmt12(stats.mean),
+            "gap_variance": fmt12(stats.variance),
+            "distinct_gaps": stats.distinct_gaps,
+        },
+        sort_keys=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def pv(args):
     }
     if layout.pv:
         report["leading_root"] = [fmt12(float(layout.lam.lower)), fmt12(float(layout.lam.upper))]
-    _emit(json.dumps(report, sort_keys=True), args.out)
+    return json.dumps(report, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +187,13 @@ def hiller(args):
     """Hiller's crystallographic-order function."""
     if args.table is not None:
         lines = ["n Hil(n)"] + [f"{k} {h}" for k, h in crystal.hiller_table(args.table)]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.allowed is not None:
+        return "\n".join(lines) + "\n"
+    if args.allowed is not None:
         orders = sorted(crystal.allowed_orders(args.allowed, args.n_max))
-        _emit(json.dumps({"schema": 1, "dimension": args.allowed, "orders": orders}), args.out)
-    elif args.n is not None:
-        _emit(str(crystal.hiller(args.n)), args.out)
-    else:
-        raise UsageError("give N, --table N or --allowed D")
+        return json.dumps({"schema": 1, "dimension": args.allowed, "orders": orders})
+    if args.n is not None:
+        return str(crystal.hiller(args.n))
+    raise UsageError("give N, --table N or --allowed D")
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +203,22 @@ def cantor(args):
     ab = words.Alphabet(tuple(str(i) for i in range(args.alphabet_size)))
     spec = crystal.CantorSpec(ab, args.excluded)
     if args.action == "dim":
-        _emit(fmt12(crystal.hausdorff_dimension(spec)), args.out)
-    elif args.action == "value":
-        if args.raw_word is None:
-            raise UsageError("value needs --word")
-        v = crystal.numeric_value(ab, ab.word(args.raw_word))
-        _emit(f"{v.numerator}/{v.denominator}", args.out)
-    elif args.action == "represent":
+        return fmt12(crystal.hausdorff_dimension(spec))
+    if args.action == "represent":
         if args.q is None:
             raise UsageError("represent needs --q")
         try:
             q = Fraction(args.q)
         except ZeroDivisionError:
             raise ValueError(f"q has denominator 0: {args.q!r}") from None
-        _emit(str(crystal.representation(ab, q, args.digits)), args.out)
+        return str(crystal.representation(ab, q, args.digits))
+    if args.raw_word is None:
+        raise UsageError(f"{args.action} needs --word")
+    if args.action == "value":
+        v = crystal.numeric_value(ab, ab.word(args.raw_word))
     else:
-        if args.raw_word is None:
-            raise UsageError("function needs --word")
         v = crystal.cantor_function_value(spec, ab.word(args.raw_word))
-        _emit(f"{v.numerator}/{v.denominator}", args.out)
+    return f"{v.numerator}/{v.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +231,8 @@ def quantum_cmd(args):
     )
     if args.fmt == "json":
         payload = dict(run.manifest, letter_rates=[fmt12(r) for r in run.letter_rates])
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        _emit_angles(run.angles, args.fmt, args.out)
+        return json.dumps(payload, sort_keys=True)
+    return _format_angles(run.angles, args.fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +285,6 @@ def _parser(prog: str):
     p.add_argument("--letter", help="starting letter (default: first)")
     p.add_argument("-k", "--power", type=int, default=3, help="iteration count")
     p.add_argument("-L", "--length", type=int, default=100, help="prefix length")
-    p.add_argument("--out")
 
     p = command(entropy)
     p.add_argument("--spec", dest="spec_path", help="substitution spec file")
@@ -304,7 +292,6 @@ def _parser(prog: str):
     p.add_argument("--alphabet", default="01", help="symbols for --word input")
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--prefix-len", type=int, default=1000)
-    p.add_argument("--out")
 
     p = command(spacing)
     p.add_argument("mode", choices=("roots", "cusps", "drive"))
@@ -315,18 +302,15 @@ def _parser(prog: str):
     p.add_argument("--beta1", default="1.0")
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="csv")
     p.add_argument("--precision-bits", type=int, default=128)
-    p.add_argument("--out")
 
     p = command(pv)
     p.add_argument("--poly", required=True, help="monic polynomial, constant-first")
-    p.add_argument("--out")
 
     p = command(hiller)
     p.add_argument("n", nargs="?", type=int)
     p.add_argument("--table", type=int, help="print the table up to N")
     p.add_argument("--allowed", type=int, help="orders allowed in dimension d")
     p.add_argument("--n-max", type=int, default=36)
-    p.add_argument("--out")
 
     p = command(cantor)
     p.add_argument("action", choices=("dim", "value", "represent", "function"))
@@ -335,7 +319,6 @@ def _parser(prog: str):
     p.add_argument("--word", dest="raw_word")
     p.add_argument("--q", help="rational p/q in [0,1]")
     p.add_argument("--digits", type=int, default=12)
-    p.add_argument("--out")
 
     p = command(quantum_cmd, "quantum")
     p.add_argument("--spec", dest="spec_path", required=True)
@@ -344,7 +327,9 @@ def _parser(prog: str):
     p.add_argument("-N", "--steps", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", dest="fmt", choices=_FORMATS, default="csv")
-    p.add_argument("--out")
+    # after every subcommand's own options, so that --help lists it last
+    for p in commands.values():
+        p.add_argument("--out")
     return parser, commands
 
 
@@ -377,17 +362,19 @@ def _attach_values(argv: list, parser: _Parser) -> list:
 
 
 def main(args=None, prog_name=None):
-    """Run one command on `args` (default: sys.argv[1:]) and exit: code 0,
-    1 when the library rejects the input (a ValueError, a bad spec file, a
-    file that cannot be written) or 2 for a malformed command line.  An
-    error ends in one `Error:` line on stderr."""
+    """Run one command on `args` (default: sys.argv[1:]), write the text it
+    returns, and exit: code 0, 1 when the library rejects the input (a
+    ValueError, a bad spec file) or the output cannot be written (a closed
+    stdout, a broken pipe, a full disk, an unwritable --out file), or 2 for
+    a malformed command line.  An error ends in one `Error:` line on
+    stderr."""
     parser, commands = _parser(prog_name or "pisotdyn")
     argv = sys.argv[1:] if args is None else list(args)
     try:
         if argv and argv[0] in commands:
             argv[1:] = _attach_values(argv[1:], commands[argv[0]])
         ns = parser.parse_args(argv)
-        ns.run(ns)
+        _emit(ns.run(ns), ns.out)
     except UsageError as e:
         code, error = 2, e
     except (ValueError, OSError) as e:
@@ -411,22 +398,20 @@ def run():
     Skipping it loses nothing: the CLI starts no thread and registers no
     atexit handler, and every --out file is closed by its `with` block
     before `main` returns.  (An atexit handler that a site hook registered
-    is skipped too.)  When a flush fails, as on a closed stdout or pipe, or
-    the exit code is not an int, the process ends through `sys.exit`, as
-    it did before, and any other exception escapes as it did before."""
+    is skipped too.)  `main` has already flushed a command's output and
+    reported a failed write as an `Error:` line, so a flush that fails here
+    can only lose `--help` text, whose failed write argparse ignores too.
+    Any other exception than SystemExit escapes with its traceback."""
     try:
         main()
     except SystemExit as e:
         code = e.code
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (AttributeError, OSError, ValueError):
-        # a stream that is None, broken or closed: the normal exit reports it
-        sys.exit(code)
-    if isinstance(code, int):
-        os._exit(code)
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # None, broken or closed
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ def hiller(n: int) -> int:
     for p, a in factorize(n):
         if p == 2 and a == 1:
             continue
-        total += euler_phi(p**a)
+        total += p ** (a - 1) * (p - 1)  # phi(p^a)
     return total
 
 

@@ -322,9 +322,16 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
         beta0 %= TWO_PI
         beta1 %= TWO_PI
     digits = fixed_point_prefix(sigma, 0, n_points).prefix(n_points)
+    return _driven_angles(digits.letters, beta0, beta1)
+
+
+def _driven_angles(letters, beta0: float, beta1: float) -> AngleList:
+    """The walk round the circle from theta_0 = 0 that the 0/1 `letters`
+    drive: theta_k = theta_(k-1) + beta0 (mod 2*pi) when the k-th letter
+    is 0, + beta1 when it is 1."""
     thetas = []
     theta = 0.0
-    for d in digits.letters:
+    for d in letters:
         theta = (theta + (beta0 if d == 0 else beta1)) % TWO_PI
         thetas.append(theta)
     return AngleList(tuple(thetas))

@@ -9,7 +9,7 @@ import random
 from itertools import cycle, islice
 
 from .algebraic import IntMatrix, is_primitive, normalized_iterates, power_iteration
-from .geometry import TWO_PI, AngleList
+from .geometry import AngleList, _driven_angles
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
 from .words import Alphabet, Word, complexity
@@ -158,14 +158,7 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     p0s = [v[0] * v[0] for v in islice(iterates, n_steps)]
     # a stop before n_steps: the iterates alternate between the last two
     p0s += islice(cycle(p0s[-2:]), n_steps - len(p0s))
-    theta = 0.0
-    angles = []
-    outcomes = []
-    for p0 in p0s:
-        letter = 0 if draw() < p0 else 1
-        outcomes.append(letter)
-        theta = (theta + (beta0 if letter == 0 else beta1)) % TWO_PI
-        angles.append(theta)
+    outcomes = tuple(0 if draw() < p0 else 1 for p0 in p0s)
     manifest = {
         "schema": 1,
         "generator": "random.Random (Mersenne Twister)",
@@ -175,4 +168,4 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
         "beta1": beta1,
         "substitution": sigma.to_dict(),
     }
-    return SpacingRun(AngleList(tuple(angles)), tuple(outcomes), manifest)
+    return SpacingRun(_driven_angles(outcomes, beta0, beta1), outcomes, manifest)

@@ -72,6 +72,9 @@ class Substitution(Record):
             raise ValueError("'alphabet' must be a list of symbols") from None
         if not isinstance(data["rules"], dict):
             raise ValueError("'rules' must be a JSON object")
+        for symbol, image in data["rules"].items():
+            if not isinstance(image, str):
+                raise ValueError(f"rule for {symbol!r} must be a string")
         return cls.from_rules(Alphabet(symbols), data["rules"])
 
     def to_dict(self) -> dict:

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pisotdyn.algebraic import IntPolynomial, dominant_root_interval
 from pisotdyn.cli import _parse_angle, main
 
 FIB_SPEC = '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}}'
@@ -235,6 +237,12 @@ class TestAngles:
         assert _parse_angle("--beta1", "7") == 7 - 2 * math.pi
         assert _parse_angle("--beta0", "pi") == math.pi
 
+    def test_rho_is_the_correctly_rounded_plastic_number(self):
+        # both ends of a 10^-30 bracket of the real root of x^3 - x - 1
+        # round to one float
+        root = dominant_root_interval(IntPolynomial((-1, -1, 0, 1)), Fraction(1, 10**30))
+        assert float(root.lower) == float(root.upper) == _parse_angle("--beta0", "rho")
+
     @pytest.mark.parametrize("text", ["-1e-20", "-5e-324"])
     def test_quantum_manifest_prints_zero(self, runner, fib_path, text):
         r = runner.invoke(main, ["quantum", "--spec", fib_path, "--seed", "1", "-N", "3",
@@ -330,6 +338,10 @@ BAD_SPECS = [
     ('[{"alphabet": ["0", "1"]}]', "spec must be a JSON object"),
     ('{"alphabet": 5, "rules": {"0": "01", "1": "0"}}', "'alphabet' must be a list of symbols"),
     ('{"alphabet": ["0", "1"], "rules": ["01", "0"]}', "'rules' must be a JSON object"),
+    ('{"alphabet": ["0", "1"], "rules": {"0": 5, "1": "0"}}', "rule for '0' must be a string"),
+    ('{"alphabet": ["0", "1"], "rules": {"0": "01", "1": null}}', "rule for '1' must be a string"),
+    ('{"alphabet": ["0", "1", "2"], "rules": {"0": "01", "1": "2", "2": ["0", "1"]}}',
+     "rule for '2' must be a string"),
 ]
 
 
@@ -486,9 +498,6 @@ def test_cli_start_up_does_not_import_numpy():
 # the process entry: `python -m pisotdyn.cli` runs `run`, which ends the
 # process with os._exit once stdout and stderr are flushed
 ENTRY = [sys.executable, "-m", "pisotdyn.cli"]
-# `main` run as a script: it ends through SystemExit and the interpreter's
-# teardown, the exit path the process entry falls back to
-OLD_EXIT = [sys.executable, "-c", "from pisotdyn.cli import main; main()"]
 
 
 def _entry(argv):
@@ -556,27 +565,37 @@ def test_process_entry_writes_the_whole_out_file(runner, tmp_path):
     assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
-def _with_stdout_closed(command):
+def _with_stdout_closed(argv):
     # sh closes fd 1 before the exec, so the child's sys.stdout is None
-    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh"] + command, env=_env(),
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh"] + ENTRY + argv, env=_env(),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["hiller"], ["hiller", "0"],
-                                  ["hiller", "5", "--out", "{out}"]],
-                         ids=["help", "usage error", "library error", "out"])
-def test_closed_stdout_ends_as_the_old_exit_does(tmp_path, argv):
-    # flushing a stdout that is None fails, so the process entry falls back
-    argv = [a.format(out=tmp_path / "hiller.txt") for a in argv]
-    entry = _with_stdout_closed(ENTRY + argv)
-    old = _with_stdout_closed(OLD_EXIT + argv)
-    assert (entry.returncode, entry.stderr) == (old.returncode, old.stderr)
+@pytest.mark.parametrize("argv", [["hiller", "5"], ["spacing", "roots", "-n", "100000"]],
+                         ids=["hiller", "roots"])
+def test_closed_stdout_is_an_error_line(argv):
+    r = _with_stdout_closed(argv)
+    assert (r.returncode, r.stderr) == (1, b"Error: stdout is closed\n")
 
 
-def _head_5(command):
-    """Exit code and stderr of `command` when its stdout pipe is closed after
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["hiller"], 2), (["hiller", "0"], 1)],
+                         ids=["help", "usage error", "library error"])
+def test_closed_stdout_leaves_help_and_errors_as_they_are(runner, columns, argv, code):
+    # with sys.stdout None, argparse writes the help to stderr
+    r = _with_stdout_closed(argv)
+    assert (r.returncode, r.stderr) == (code, runner.invoke(main, argv).output.encode())
+
+
+def test_out_file_is_written_with_stdout_closed(tmp_path):
+    r = _with_stdout_closed(["hiller", "5", "--out", str(tmp_path / "hiller.txt")])
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert (tmp_path / "hiller.txt").read_text() == "4"
+
+
+def _head_5(argv):
+    """Exit code and stderr of a call when its stdout pipe is closed after
     its first 5 bytes are read."""
-    with subprocess.Popen(command, env=_env(), stdout=subprocess.PIPE,
+    with subprocess.Popen(ENTRY + argv, env=_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, bufsize=0) as p:
         first = b""
         while len(first) < 5:
@@ -590,29 +609,56 @@ def _head_5(command):
         return p.wait(timeout=60), err
 
 
-@pytest.mark.parametrize("argv", [["spacing", "roots", "-n", "100000"],
-                                  ["subst", "{thue_morse}", "iterate", "-k", "18"]],
-                         ids=["roots", "iterate"])
-def test_pipe_closed_after_5_bytes_ends_as_the_old_exit_does(spec_paths, argv):
-    argv = [a.format(**spec_paths) for a in argv]
-    assert _head_5(ENTRY + argv) == _head_5(OLD_EXIT + argv)
-
-
-def _into_a_broken_pipe(command):
+def _into_a_broken_pipe(argv):
+    """Exit code and stderr of a call whose stdout is a pipe with no reader."""
     read, write = os.pipe()
     os.close(read)
     try:
-        r = subprocess.run(command, env=_env(), stdout=write, stderr=subprocess.PIPE,
+        r = subprocess.run(ENTRY + argv, env=_env(), stdout=write, stderr=subprocess.PIPE,
                            timeout=60)
     finally:
         os.close(write)
     return r.returncode, r.stderr
 
 
-@pytest.mark.parametrize("argv", [["hiller", "5"], ["--help"]], ids=["hiller", "help"])
-def test_output_left_in_the_buffer_of_a_broken_pipe_ends_as_the_old_exit_does(argv):
-    # main's output waits in stdout's buffer, the process entry's flush
-    # fails, and the normal exit fails to flush it again and exits 120
-    entry = _into_a_broken_pipe(ENTRY + argv)
-    assert entry == _into_a_broken_pipe(OLD_EXIT + argv)
-    assert entry[0] == 120
+BROKEN_PIPE = (1, b"Error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["spacing", "roots", "-n", "100000"],
+                                  ["subst", "{thue_morse}", "iterate", "-k", "18"]],
+                         ids=["roots", "iterate"])
+def test_pipe_closed_after_5_bytes_is_an_error_line(spec_paths, argv):
+    assert _head_5([a.format(**spec_paths) for a in argv]) == BROKEN_PIPE
+
+
+@pytest.mark.parametrize("argv", [["hiller", "5"], ["spacing", "roots", "-n", "100000"]],
+                         ids=["short", "long"])
+def test_output_into_a_broken_pipe_is_an_error_line(argv):
+    # a short output fails at the flush, a long one at the write itself
+    assert _into_a_broken_pipe(argv) == BROKEN_PIPE
+
+
+def test_help_into_a_broken_pipe_exits_0():
+    assert _into_a_broken_pipe(["--help"]) == (0, b"")
+
+
+# sha256 of each `--help` at COLUMNS=80, taken before --out came to be
+# declared once for every subcommand; argparse's layout is Python 3.11's
+HELP = {
+    "": "9b4e1113528e21e08f6583c5ffe6fead1536144deb0a76f98dab8e5b40ca4344",
+    "subst": "1e08715fbc5ddb1567ee8a2f2fc38cb95f3ff23418aa8e3192a2a2af0becd387",
+    "entropy": "adfc599756c1e458ec3168ca446f96720dfa3b41129f17faa4135bf3a8ef5612",
+    "spacing": "8a47e43e48327aa5f0ca7ec2242faeac5a49a41ebf8d84e2a9b298ac1fc29543",
+    "pv": "1b505203fc37e3b0c244ee6bfb5f79e891f6e389b00b7c0f676d71b113f1ba2d",
+    "hiller": "d48c608e513cc2ce9b23dff51c4767101c1e42b0fa16f7998223fd7894d4953e",
+    "cantor": "1b1c3c32ec65630472c1dd9227c916bf340ba9bc5f3bf24fa442b5cf3f0491b5",
+    "quantum": "0be804a13e5716db9e24e4b0852ab0c2d3475c1d65c475b63b180eb8a4969ac9",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help by version")
+@pytest.mark.parametrize("command", list(HELP), ids=[c or "top" for c in HELP])
+def test_help_is_unchanged(runner, columns, command):
+    r = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert r.exit_code == 0 and r.stderr == ""
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == HELP[command]
