@@ -149,8 +149,7 @@ class IntPolynomial(Record):
             raise ValueError("a polynomial needs at least one coefficient")
         if any(x != int(x) for x in c):
             raise ValueError("coefficients must be integers")
-        c = tuple(int(x) for x in c)
-        object.__setattr__(self, "coefficients", c)
+        super().__init__(tuple(int(x) for x in c))
 
     @property
     def degree(self) -> int:
@@ -216,7 +215,7 @@ class IntMatrix(Record):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "entries", rows)
+        super().__init__(rows)
 
     @property
     def dimension(self) -> int:
@@ -333,14 +332,12 @@ def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
 class RootCount(Record):
     __slots__ = _fields = ("inside", "on_circle", "outside")
 
-    def __init__(self, inside: int, on_circle: int, outside: int):
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "on_circle", on_circle)
-        object.__setattr__(self, "outside", outside)
-
     @property
     def degree(self) -> int:
         return self.inside + self.on_circle + self.outside
+
+    def to_dict(self) -> dict:
+        return {"inside": self.inside, "on_circle": self.on_circle, "outside": self.outside}
 
 
 def _moebius(c):
@@ -490,8 +487,7 @@ class RealApprox(Record):
     def __init__(self, lower: Fraction, upper: Fraction):
         if lower > upper:
             raise ValueError("lower > upper")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        super().__init__(lower, upper)
 
     @property
     def width(self) -> Fraction:
@@ -612,11 +608,6 @@ class RootLayout(Record):
     """
 
     __slots__ = _fields = ("counts", "lam", "pv")
-
-    def __init__(self, counts: RootCount, lam: RealApprox | None, pv: bool):
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "pv", pv)
 
 
 def root_layout(p: IntPolynomial) -> RootLayout:
@@ -757,8 +748,7 @@ class Recurrence(Record):
     def __init__(self, coefficients, initial):
         if len(coefficients) < 1 or len(coefficients) != len(initial):
             raise ValueError("order must be >= 1 and match the initial terms")
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
-        object.__setattr__(self, "initial", tuple(int(c) for c in initial))
+        super().__init__(tuple(int(c) for c in coefficients), tuple(int(c) for c in initial))
 
     @property
     def order(self) -> int:

@@ -85,6 +85,15 @@ def _emit(text: str, out):
     sys.stdout.flush()
 
 
+def _to_stderr(text: str):
+    """Write `text` to stderr, or drop it, as argparse does, when stderr is
+    closed: None when fd 2 was closed at start-up, or a bad fd."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        pass
+
+
 # ---------------------------------------------------------------------------
 def subst(args):
     """Show, iterate or analyze a substitution spec file."""
@@ -164,18 +173,13 @@ def pv(args):
     """Pisot-Vijayaraghavan certification with exact root counts."""
     p = _parse_poly(args.poly)
     layout = algebraic.root_layout(p)
-    counts = layout.counts
     report = {
         "schema": 1,
         "poly": list(p.coefficients),
         "pretty": p.pretty(),
         "verdict": "pv" if layout.pv else "not_pv",
         "is_pv": layout.pv,
-        "root_counts": {
-            "inside": counts.inside,
-            "on_circle": counts.on_circle,
-            "outside": counts.outside,
-        },
+        "root_counts": layout.counts.to_dict(),
     }
     if layout.pv:
         report["leading_root"] = [fmt12(float(layout.lam.lower)), fmt12(float(layout.lam.upper))]
@@ -255,7 +259,7 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        _to_stderr(self.format_usage())
         raise UsageError(message)
 
 
@@ -367,7 +371,7 @@ def main(args=None, prog_name=None):
     ValueError, a bad spec file) or the output cannot be written (a closed
     stdout, a broken pipe, a full disk, an unwritable --out file), or 2 for
     a malformed command line.  An error ends in one `Error:` line on
-    stderr."""
+    stderr, unless stderr is closed."""
     parser, commands = _parser(prog_name or "pisotdyn")
     argv = sys.argv[1:] if args is None else list(args)
     try:
@@ -381,7 +385,7 @@ def main(args=None, prog_name=None):
         code, error = 1, e
     else:
         sys.exit(0)
-    print(f"Error: {error}", file=sys.stderr)
+    _to_stderr(f"Error: {error}\n")
     sys.exit(code)
 
 

@@ -162,8 +162,7 @@ class CantorSpec(Record):
     def __init__(self, alphabet: Alphabet, excluded: int):
         if not 0 <= excluded < alphabet.size:
             raise ValueError("excluded letter out of range")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "excluded", excluded)
+        super().__init__(alphabet, excluded)
 
     @property
     def interior(self) -> bool:
@@ -229,17 +228,9 @@ def staircase_value(spec: CantorSpec, x: Fraction, digits: int = 64) -> Fraction
         rem -= digit
         if digit >= base:
             digit = base - 1
+        # the A-digit's B-position; the excluded digit keeps its own value,
+        # the plateau to which the removed interval maps
+        acc += Fraction(digit - (digit > spec.excluded), nb**k)
         if digit == spec.excluded:
-            acc += Fraction(_b_digit(digit, spec), nb**k)
             break
-        acc += Fraction(_b_digit(digit, spec), nb**k)
     return acc
-
-
-def _b_digit(digit: int, spec: CantorSpec) -> int:
-    """Map an A-digit to its B-position (the excluded digit rounds up)."""
-    if digit < spec.excluded:
-        return digit
-    if digit == spec.excluded:
-        return digit  # plateau: the removed interval maps to a constant
-    return digit - 1

@@ -29,7 +29,7 @@ class AngleList(Record):
         # other angles in range, the sum is NaN exactly when one is there
         if a and not (0.0 <= min(a) and max(a) < TWO_PI and not math.isnan(sum(a))):
             raise ValueError("angles must lie in [0, 2*pi)")
-        object.__setattr__(self, "angles", a)
+        super().__init__(a)
 
     def __len__(self):
         return len(self.angles)
@@ -104,14 +104,6 @@ def cyclotomic_sum(n: int) -> complex:
 
 class GapStats(Record):
     __slots__ = _fields = ("mean", "variance", "min_gap", "max_gap", "distinct_gaps")
-
-    def __init__(self, mean: float, variance: float, min_gap: float, max_gap: float,
-                 distinct_gaps: int):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "min_gap", min_gap)
-        object.__setattr__(self, "max_gap", max_gap)
-        object.__setattr__(self, "distinct_gaps", distinct_gaps)
 
 
 def gap_statistics(a: AngleList) -> GapStats:

@@ -9,7 +9,7 @@ import random
 from itertools import cycle, islice
 
 from .algebraic import IntMatrix, is_primitive, normalized_iterates, power_iteration
-from .geometry import AngleList, _driven_angles
+from .geometry import _driven_angles
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
 from .words import Alphabet, Word, complexity
@@ -25,10 +25,6 @@ class QuantumState(Record):
     """
 
     __slots__ = _fields = ("amplitudes", "renormalized")
-
-    def __init__(self, amplitudes: tuple, renormalized: bool = False):
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "renormalized", renormalized)
 
     @classmethod
     def from_dict(cls, amps: dict, renormalized: bool = False) -> "QuantumState":
@@ -124,11 +120,6 @@ class SpacingRun(Record):
     a dict)."""
 
     __slots__ = _fields = ("angles", "outcomes", "manifest")
-
-    def __init__(self, angles: AngleList, outcomes: tuple, manifest: dict):
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "manifest", manifest)
 
     @property
     def letter_rates(self) -> tuple:

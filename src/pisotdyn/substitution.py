@@ -11,7 +11,6 @@ from .algebraic import (
     IntMatrix,
     IntPolynomial,
     RealApprox,
-    RootCount,
     _conjugate_modulus_bound,
     _irreducible,
     char_poly,
@@ -43,8 +42,7 @@ class Substitution(Record):
                 raise ValueError("rule image over a different alphabet")
             if len(w) == 0:
                 raise ValueError("rule images must be nonempty")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rules", tuple(rules))
+        super().__init__(alphabet, tuple(rules))
 
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rule_map: dict) -> "Substitution":
@@ -242,19 +240,9 @@ def language_prefix(sigma: Substitution, letter: int, n_max: int, prefix_len: in
 
 class PisotReport(Record):
     # no __slots__: conjugate_moduli_bound caches in __dict__
+    # frequencies: per-letter floats summing to ~1 (empty if not primitive)
     _fields = ("primitive", "char_poly", "leading_eigenvalue", "root_counts",
                "irreducible", "pisot_loose", "pisot_strict", "frequencies")
-
-    def __init__(self, primitive: bool, char_poly: IntPolynomial,
-                 leading_eigenvalue: RealApprox, root_counts: RootCount,
-                 irreducible: bool | None, pisot_loose: bool, pisot_strict: bool,
-                 frequencies: tuple):
-        # frequencies: per-letter floats summing to ~1 (empty if not primitive)
-        vars(self).update(
-            primitive=primitive, char_poly=char_poly, leading_eigenvalue=leading_eigenvalue,
-            root_counts=root_counts, irreducible=irreducible, pisot_loose=pisot_loose,
-            pisot_strict=pisot_strict, frequencies=frequencies,
-        )
 
     @cached_property
     def conjugate_moduli_bound(self) -> RealApprox:
@@ -280,11 +268,7 @@ class PisotReport(Record):
                 float(self.leading_eigenvalue.upper),
             ],
             "conjugate_moduli_bound": float(self.conjugate_moduli_bound.upper),
-            "root_counts": {
-                "inside": self.root_counts.inside,
-                "on_circle": self.root_counts.on_circle,
-                "outside": self.root_counts.outside,
-            },
+            "root_counts": self.root_counts.to_dict(),
             "irreducible": self.irreducible,
             "pisot_loose": self.pisot_loose,
             "pisot_strict": self.pisot_strict,

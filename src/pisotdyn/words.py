@@ -37,7 +37,7 @@ class Alphabet(Record):
             raise ValueError(f"alphabet holds at most {MAX_ALPHABET_SIZE} symbols")
         if len(set(syms)) != len(syms):
             raise ValueError("alphabet symbols must be distinct")
-        object.__setattr__(self, "symbols", syms)
+        super().__init__(syms)
 
     @property
     def size(self) -> int:
@@ -97,8 +97,7 @@ class Word(Record):
             if ints and not (0 <= min(ints) and max(ints) < size):
                 raise ValueError("letter index out of range")
             ls = bytes(ints)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", ls)
+        super().__init__(alphabet, ls)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -160,9 +159,6 @@ def complexity(prefix: Word, n: int) -> int:
 
 class ComplexityProfile(Record):
     __slots__ = _fields = ("values",)  # p_1 .. p_N
-
-    def __init__(self, values: tuple):
-        object.__setattr__(self, "values", values)
 
 
 class _SparseTable(dict):

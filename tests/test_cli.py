@@ -592,6 +592,22 @@ def test_out_file_is_written_with_stdout_closed(tmp_path):
     assert (tmp_path / "hiller.txt").read_text() == "4"
 
 
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["hiller"], 2, b""),
+    (["hiller", "--tab", "3"], 2, b""),
+    (["hiller", "0"], 1, b""),
+    (["hiller", "5"], 0, b"4\n"),
+], ids=["usage error", "argparse error", "library error", "output"])
+def test_closed_stderr_keeps_the_exit_code(redirect, argv, code, stdout):
+    # sh closes fd 2 before the exec, so the child's sys.stderr is None, or
+    # opens it read-only, so that a write to it raises OSError; either way
+    # the messages are lost, and none of them lands on stdout
+    r = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh"] + ENTRY + argv, env=_env(),
+                       stdout=subprocess.PIPE, timeout=60)
+    assert (r.returncode, r.stdout) == (code, stdout)
+
+
 def _head_5(argv):
     """Exit code and stderr of a call when its stdout pipe is closed after
     its first 5 bytes are read."""

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from pisotdyn.algebraic import IntMatrix, IntPolynomial, RealApprox, Recurrence, RootCount, root_layout
+from pisotdyn.algebraic import (
+    IntMatrix,
+    IntPolynomial,
+    RealApprox,
+    Recurrence,
+    RootCount,
+    RootLayout,
+    root_layout,
+)
 from pisotdyn.crystal import CantorSpec
 from pisotdyn.geometry import AngleList, GapStats
 from pisotdyn.quantum import QuantumState, SpacingRun
@@ -20,6 +28,7 @@ RECORDS = [
     (IntPolynomial, ((-1, -1, 1),)),
     (IntMatrix, (((1, 1), (1, 0)),)),
     (RootCount, (1, 0, 1)),
+    (RootLayout, (RootCount(1, 0, 1), RealApprox(Fraction(1), Fraction(2)), True)),
     (RealApprox, (Fraction(1), Fraction(2))),
     (Recurrence, ((1, 1), (0, 1))),
     (Alphabet, (("0", "1"),)),
@@ -67,3 +76,24 @@ def test_spacing_run_is_frozen_and_unhashable():
         run.outcomes = (1,)
     with pytest.raises(TypeError):
         hash(run)
+
+
+def test_fields_by_name_equal_fields_by_position():
+    assert RootCount(inside=1, on_circle=0, outside=1) == RootCount(1, 0, 1)
+    assert RootCount(1, outside=1, on_circle=0) == RootCount(1, 0, 1)
+    assert GapStats(1.0, 0.0, min_gap=1.0, max_gap=1.0, distinct_gaps=1) == GapStats(1.0, 0.0, 1.0, 1.0, 1)
+    report = classify_pisot(FIBONACCI_SUBST)
+    fields = {f: getattr(report, f) for f in PisotReport._fields}
+    assert PisotReport(**fields) == PisotReport(*fields.values()) == report
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 0), {}),                    # a missing field
+    ((1,), {"outside": 1}),          # a missing field among named ones
+    ((1, 0, 1, 2), {}),              # an extra positional value
+    ((1, 0, 1), {"degree": 2}),      # an unknown keyword
+    ((1, 0, 1), {"inside": 1}),      # a field given twice
+], ids=["missing", "missing named", "extra", "unknown", "repeated"])
+def test_wrong_fields_raise_type_error_naming_the_class(args, kwargs):
+    with pytest.raises(TypeError, match="RootCount"):
+        RootCount(*args, **kwargs)

@@ -16,6 +16,12 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+def test_only_record_stores_fields():
+    # Record.__init__ is the one place that knows how a record stores its fields
+    users = [path.name for path in SOURCES if "object.__setattr__" in path.read_text()]
+    assert users == ["record.py"]
+
+
 def _names_outside(tree, skip):
     """Every name a module uses, imports or reads as an attribute, outside
     the subtree `skip`."""
