@@ -221,43 +221,34 @@ class IntMatrix(Record):
     def dimension(self) -> int:
         return len(self.entries)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.dimension
-        if other.dimension != n:
-            raise ValueError("dimension mismatch")
-        a, b = self.entries, other.entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
-
     def apply(self, v: Sequence) -> tuple:
         n = self.dimension
         if len(v) != n:
             raise ValueError("dimension mismatch")
         return tuple(sum(self.entries[i][k] * v[k] for k in range(n)) for i in range(n))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """det(x*I - M) via the Faddeev-LeVerrier recursion over the integers:
-    each coefficient -trace(M M_k)/k is an exact integer."""
+    B_0 = I, A_k = M B_(k-1), c_(n-k) = -trace(A_k)/k exactly, B_k = A_k +
+    c_(n-k) I.  M and each B_k are rows of their nonzero entries, so row i
+    of A_k sums the rows of B_(k-1) that row i of M names."""
     n = m.dimension
-    coeffs = [0] * n + [1]
-    mk = IntMatrix.identity(n)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m.entries]
+    coeffs, b = [0] * n + [1], [{i: 1} for i in range(n)]
     for k in range(1, n + 1):
-        a = (m @ mk).entries
-        c, rem = divmod(-sum(a[i][i] for i in range(n)), k)
+        a = [{} for _ in range(n)]
+        for acc, row in zip(a, rows):
+            for j, x in row:
+                for col, y in b[j].items():
+                    acc[col] = acc.get(col, 0) + x * y
+        c, rem = divmod(-sum(r.get(i, 0) for i, r in enumerate(a)), k)
         if rem:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
         coeffs[n - k] = c
-        mk = IntMatrix(tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
-                             for i, row in enumerate(a)))
+        for i, r in enumerate(a):
+            r[i] = r.get(i, 0) + c
+        b = [{col: y for col, y in r.items() if y} for r in a]
     return IntPolynomial(coeffs)
 
 
@@ -420,26 +411,26 @@ def _schur_cohn(p: IntPolynomial) -> RootCount:
 # ---------------------------------------------------------------------------
 # irreducibility over Q (exact through degree 3, Kronecker beyond)
 
-def _rational_roots(p: IntPolynomial):
-    a0, lead = p.coefficients[0], p.coefficients[-1]
-    if a0 == 0:
-        yield Fraction(0)
-        return
-    def divisors(n):
-        n = abs(n)
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out += [i, n // i]
-            i += 1
-        return sorted(set(out))
-    for num in divisors(a0):
-        for den in divisors(lead):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                if p(r) == 0:
-                    yield r
+def _has_rational_root(p: IntPolynomial) -> bool:
+    """Whether a squarefree p with p(0) != 0 has a rational root: whether
+    the monic q(y) = lead^(n-1) p(y / lead) has an integer root y (then
+    y / lead is p's root).  Integer intervals (lo, hi] inside q's Cauchy
+    bound in which q's Sturm chain counts a root are halved to width 1,
+    where hi is the one integer left."""
+    c = p.coefficients
+    n, lead = len(c) - 1, c[-1]
+    q = [x * lead ** (n - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    chain, bound = _sturm_chain(q), 1 + max(abs(x) for x in q[:-1])
+    todo = [(-bound, _var_at(chain, -bound), bound, _var_at(chain, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo > v_hi and hi - lo == 1 and _peval(q, hi) == 0:
+            return True
+        if v_lo > v_hi and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _var_at(chain, mid)
+            todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return False
 
 
 def irreducible_over_q(p: IntPolynomial) -> bool | None:
@@ -464,16 +455,14 @@ def _irreducible(p: IntPolynomial, counts: RootCount | None) -> bool | None:
     squarefree = p.is_squarefree() if counts is None else counts.degree == n
     if p.coefficients[0] == 0 or not squarefree:
         return False
-    for _ in _rational_roots(p):
-        return False
-    if n <= 3:
-        return True
     if p.is_monic:
         if counts is None:
             counts = _schur_cohn(p)
         if counts.outside == 1 and counts.on_circle == 0:
             return True
-    return None
+    if _has_rational_root(p):
+        return False
+    return True if n <= 3 else None
 
 
 # ---------------------------------------------------------------------------

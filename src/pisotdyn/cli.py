@@ -368,10 +368,10 @@ def _attach_values(argv: list, parser: _Parser) -> list:
 def main(args=None, prog_name=None):
     """Run one command on `args` (default: sys.argv[1:]), write the text it
     returns, and exit: code 0, 1 when the library rejects the input (a
-    ValueError, a bad spec file) or the output cannot be written (a closed
-    stdout, a broken pipe, a full disk, an unwritable --out file), or 2 for
-    a malformed command line.  An error ends in one `Error:` line on
-    stderr, unless stderr is closed."""
+    ValueError, a bad spec file), the output cannot be written (a closed
+    stdout, a broken pipe, a full disk, an unwritable --out file) or memory
+    runs out, or 2 for a malformed command line.  An error ends in one
+    `Error:` line on stderr, unless stderr is closed."""
     parser, commands = _parser(prog_name or "pisotdyn")
     argv = sys.argv[1:] if args is None else list(args)
     try:
@@ -383,6 +383,8 @@ def main(args=None, prog_name=None):
         code, error = 2, e
     except (ValueError, OSError) as e:
         code, error = 1, e
+    except MemoryError:
+        code, error = 1, "out of memory"
     else:
         sys.exit(0)
     _to_stderr(f"Error: {error}\n")

@@ -209,10 +209,10 @@ def cantor_function_value(spec: CantorSpec, prefix: Word) -> Fraction:
     return numeric_value(bsub, prefix) + Fraction(nb, nb ** (len(prefix) + 1))
 
 
-def staircase_value(spec: CantorSpec, x: Fraction, digits: int = 64) -> Fraction:
+def staircase_value(spec: CantorSpec, x: Fraction) -> Fraction:
     """Classical Cantor staircase at x in [0, 1] for the middle-excluded
-    construction: read base-|A| digits of x until the excluded letter
-    appears, map surviving digits into base |B|."""
+    construction: read the first 64 base-|A| digits of x until the excluded
+    letter appears, map surviving digits into base |B|."""
     if not spec.interior:
         raise ValueError("excluded letter must be interior")
     x = Fraction(x)
@@ -222,7 +222,7 @@ def staircase_value(spec: CantorSpec, x: Fraction, digits: int = 64) -> Fraction
     nb = base - 1
     acc = Fraction(0)
     rem = x
-    for k in range(1, digits + 1):
+    for k in range(1, 65):
         rem *= base
         digit = math.floor(rem)
         rem -= digit

@@ -150,8 +150,9 @@ def gap_statistics(a: AngleList) -> GapStats:
 # ---------------------------------------------------------------------------
 # diagonal self-similarity
 
-def _seg_intersection(p1, p2, p3, p4, eps=1e-12):
+def _seg_intersection(p1, p2, p3, p4):
     """Proper intersection point of open segments p1p2 and p3p4, or None."""
+    eps = 1e-12
     x1, y1 = p1
     x2, y2 = p2
     x3, y3 = p3

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisotdyn.algebraic import (
+    _has_rational_root,
     _pow_rounded,
     _trim,
     FIBONACCI,
@@ -88,7 +89,7 @@ class TestCharPoly:
         assert char_poly(m).coefficients == (-1, -1, 0, 1)
 
     def test_identity(self):
-        m = IntMatrix.identity(3)
+        m = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         # (x-1)^3 = x^3 - 3x^2 + 3x - 1
         assert char_poly(m).coefficients == (-1, 3, -3, 1)
 
@@ -752,6 +753,43 @@ def _det(rows):
                for j in range(len(rows)) if rows[0][j])
 
 
+def _dense_char_poly(m):
+    """det(xI - M) by the dense Faddeev-LeVerrier recursion that char_poly
+    replaced, with its own full matrix product: O(n^4)."""
+    n = len(m)
+
+    def matmul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    coeffs = [0] * n + [1]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        a = matmul(m, b)
+        c, rem = divmod(-sum(a[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs[n - k] = c
+        b = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    return tuple(coeffs)
+
+
+def _divisor_rational_roots(p):
+    """The rational roots of p, p(0) != 0, by the divisor trial that the
+    Sturm search replaced: every +-a/b with a | p(0) and b | lead."""
+    def divisors(n):
+        n = abs(n)
+        return {d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)}
+
+    c, n = p.coefficients, p.degree
+    return {Fraction(s * a, b) for a in divisors(c[0]) for b in divisors(c[-1]) for s in (1, -1)
+            if sum(x * (s * a) ** i * b ** (n - i) for i, x in enumerate(c)) == 0}  # b^n p(sa/b)
+
+
+def _cycle_matrix(n):
+    """Incidence matrix of the cycle letter i -> i+1, last letter -> 01."""
+    rules = {str(i): [i + 1] for i in range(n - 1)} | {str(n - 1): [0, 1]}
+    return IntMatrix([[rules[str(j)].count(i) for j in range(n)] for i in range(n)])
+
+
 class TestIntegerCore:
     def test_gcd_squarefree_part_and_sturm_counts_match_fractions(self):
         squared = 0
@@ -779,6 +817,55 @@ class TestIntegerCore:
             for x in range(-2, n + 1):
                 xi_m = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
                 assert p(x) == _det(xi_m), (m, x)
+
+    def test_char_poly_equals_the_dense_recursion(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            density = rng.random()
+            m = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                m[rng.randrange(n)] = [0] * n
+            assert char_poly(IntMatrix(m)).coefficients == _dense_char_poly(m), m
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 24])
+    def test_char_poly_of_the_cycle(self, n):
+        m = _cycle_matrix(n)
+        want = (-1, -1) + (0,) * (n - 2) + (1,)
+        assert char_poly(m).coefficients == _dense_char_poly(m.entries) == want
+
+    def test_rational_roots_match_the_divisor_trial(self):
+        # squarefree, p(0) != 0, non-monic and negative leads, and about
+        # half with planted rational roots b x - a
+        rng = random.Random(5)
+        checked = found = 0
+        while checked < 5000:
+            c = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+            c += (rng.choice((1, 1, -1, 2, -3, 4, 6, -12)),)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                a, b = rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 12)
+                c = _mul(c, (-a // math.gcd(a, b), b // math.gcd(a, b)))
+            p = IntPolynomial(c)
+            if p.degree < 1 or c[0] == 0 or not p.is_squarefree():
+                continue
+            want = bool(_divisor_rational_roots(p))
+            assert _has_rational_root(p) is want, c
+            checked, found = checked + 1, found + want
+        assert 1500 < found < 3500
+
+    def test_kronecker_skips_the_root_search(self, monkeypatch):
+        import pisotdyn.algebraic as algebraic
+
+        searched = []
+        monkeypatch.setattr(algebraic, "_has_rational_root",
+                            lambda p: searched.append(p) or _has_rational_root(p))
+        for p in (GOLDEN, PLASTIC, IntPolynomial((-1, 0, 0, -1, 1))):
+            assert irreducible_over_q(p) is True
+        assert searched == []
+        assert irreducible_over_q(IntPolynomial((-1, 0, 1))) is False
+        assert irreducible_over_q(IntPolynomial((2, 0, 3, 0, 1))) is None
+        assert len(searched) == 2
 
 
 class TestDecideOnce:

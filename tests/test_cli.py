@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -678,3 +679,51 @@ def test_help_is_unchanged(runner, columns, command):
     r = runner.invoke(main, [command, "--help"] if command else ["--help"])
     assert r.exit_code == 0 and r.stderr == ""
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == HELP[command]
+
+
+# ---------------------------------------------------------------------------
+# inputs at the package's limits: a child that a regression sends to minutes
+# or to gigabytes fails its test instead of exhausting the host
+
+def _limited(argv, seconds, megabytes=512):
+    """Run argv in a child under an address-space limit and a timeout."""
+    cap = megabytes << 20
+    return subprocess.run(argv, env=_env(), capture_output=True, timeout=seconds,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def test_analyze_with_large_constant_term(tmp_path):
+    # letter i -> i^1000 (i+1) on 6 letters: p = (x - 1000)^6 - 1 has
+    # p(0) = 10^18 - 1 and the rational roots 999 and 1001
+    rules = {str(i): str(i) * 1000 + str((i + 1) % 6) for i in range(6)}
+    path = tmp_path / "diag6.json"
+    path.write_text(json.dumps({"alphabet": list("012345"), "rules": rules}))
+    r = _limited(ENTRY + ["subst", str(path), "analyze"], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    report = json.loads(r.stdout)
+    assert report["irreducible"] is False
+    assert report["char_poly"] == [10**18 - 1, -6 * 10**15, 15 * 10**12, -2 * 10**10,
+                                   15 * 10**6, -6000, 1]
+
+
+CYCLE_CHAR_POLY = """
+import json
+from pisotdyn.algebraic import char_poly
+from pisotdyn.substitution import Substitution, incidence_matrix
+rules = {f"a{i}": f"a{i + 1}" for i in range(255)} | {"a255": "a0,a1"}
+spec = json.dumps({"alphabet": list(rules), "rules": rules})
+print(json.dumps(char_poly(incidence_matrix(Substitution.from_json(spec))).coefficients))
+"""
+
+
+def test_char_poly_of_the_256_letter_cycle():
+    # letter i -> i+1, the last letter -> 01: x^256 - x - 1
+    r = _limited([sys.executable, "-c", CYCLE_CHAR_POLY], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert json.loads(r.stdout) == [-1, -1] + [0] * 254 + [1]
+
+
+def test_out_of_memory_is_an_error_line(fib_path):
+    # sigma^100(0) has 5.7 * 10^20 letters
+    r = _limited(ENTRY + ["subst", fib_path, "iterate", "-k", "100"], seconds=30)
+    assert (r.returncode, r.stdout, r.stderr) == (1, b"", b"Error: out of memory\n")
