@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .record import Record
 
@@ -222,10 +223,9 @@ class IntMatrix(Record):
         return len(self.entries)
 
     def apply(self, v: Sequence) -> tuple:
-        n = self.dimension
-        if len(v) != n:
+        if len(v) != self.dimension:
             raise ValueError("dimension mismatch")
-        return tuple(sum(self.entries[i][k] * v[k] for k in range(n)) for i in range(n))
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
@@ -331,20 +331,25 @@ class RootCount(Record):
         return {"inside": self.inside, "on_circle": self.on_circle, "outside": self.outside}
 
 
+def _shift(c, a):
+    """c(x + a) by Horner's synthetic division: n(n+1)/2 multiply-adds."""
+    c, n = list(c), len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
 def _moebius(c):
     """q(w) = (1 - w)^n c((1 + w) / (1 - w)) over the integers, n = deg c.
 
     z = (1 + w) / (1 - w) maps Re w < 0 onto |z| < 1 and the imaginary
-    axis onto the circle without z = -1.
+    axis onto the circle without z = -1.  With t = 1 - w, q(w) = r(t) for
+    r(t) = t^n c(2/t - 1): the coefficients 2^i s_i of s(x) = c(x - 1),
+    reversed.
     """
-    n = len(c) - 1
-    q = [0] * (n + 1)
-    for k, ck in enumerate(c):
-        for i in range(k + 1):
-            a = ck * math.comb(k, i)
-            for j in range(n - k + 1):
-                q[i + j] += a * math.comb(n - k, j) * (-1) ** j
-    return q
+    r = [x << i for i, x in enumerate(_shift(c, -1))][::-1]
+    return [-x if i % 2 else x for i, x in enumerate(_shift(r, 1))]
 
 
 def _count_lhp(q):

@@ -49,10 +49,11 @@ def factorize(n: int) -> list:
             e += 1
         if e:
             out.append((p, e))
-    d = 5
+    d, untested = 5, True
     while d * d <= n:
-        if _is_prime(n):
+        if untested and _is_prime(n):
             break
+        untested = False
         for p in (d, d + 2):
             e = 0
             while n % p == 0:
@@ -60,6 +61,7 @@ def factorize(n: int) -> list:
                 e += 1
             if e:
                 out.append((p, e))
+                untested = True
         d += 6
     if n > 1:
         out.append((n, 1))

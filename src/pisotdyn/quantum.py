@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import cycle, islice
+from itertools import cycle, islice, product
 
 from .algebraic import IntMatrix, is_primitive, normalized_iterates, power_iteration
 from .geometry import _driven_angles
@@ -51,14 +51,8 @@ def apply_first_kind(sigma: Substitution, psi: QuantumState) -> QuantumState:
     out: dict = {}
     for w, a in psi.amplitudes:
         img = apply(sigma, w)
-        key = img.letters
-        if key in out:
-            out[key] = (out[key][0], out[key][1] + a, True)
-        else:
-            out[key] = (img, a, False)
-    collided = any(flag for _, _, flag in out.values())
-    amps = {word: a for word, a, _ in out.values()}
-    return QuantumState.from_dict(amps, renormalized=collided)
+        out[img] = out[img] + a if img in out else a
+    return QuantumState.from_dict(out, renormalized=len(out) < len(psi.amplitudes))
 
 
 def symmetric_state(alphabet: Alphabet, n: int) -> QuantumState:
@@ -69,12 +63,8 @@ def symmetric_state(alphabet: Alphabet, n: int) -> QuantumState:
     if count > SUPPORT_CAP:
         raise ValueError(f"support {count} exceeds cap {SUPPORT_CAP}")
     amp = 1.0 / math.sqrt(count)
-    amps = {}
-    from itertools import product
-
-    for letters in product(range(alphabet.size), repeat=n):
-        amps[Word(alphabet, letters)] = amp
-    return QuantumState.from_dict(amps)
+    return QuantumState.from_dict(
+        {Word(alphabet, letters): amp for letters in product(range(alphabet.size), repeat=n)})
 
 
 def quantum_complexity(psi: QuantumState, n: int) -> float:
@@ -124,11 +114,7 @@ class SpacingRun(Record):
     @property
     def letter_rates(self) -> tuple:
         n = len(self.outcomes)
-        d = max(self.outcomes) + 1
-        counts = [0] * d
-        for o in self.outcomes:
-            counts[o] += 1
-        return tuple(c / n for c in counts)
+        return tuple(self.outcomes.count(c) / n for c in (0, 1))
 
 
 def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,

@@ -129,13 +129,11 @@ def iterate(sigma: Substitution, letter: int, k: int) -> Word:
 def incidence_matrix(sigma: Substitution) -> IntMatrix:
     """(i, j) entry counts letter a_i in sigma(a_j)."""
     d = sigma.alphabet.size
-    cols = []
-    for j in range(d):
-        col = [0] * d
-        for c in sigma.rules[j].letters:
-            col[c] += 1
-        cols.append(col)
-    return IntMatrix(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+    rows = [[0] * d for _ in range(d)]
+    for j, image in enumerate(sigma.rules):
+        for c in image.letters:
+            rows[c][j] += 1
+    return IntMatrix(rows)
 
 
 def letter_counts(sigma: Substitution, letter: int, k: int) -> tuple:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from pisotdyn.algebraic import (
     _has_rational_root,
+    _moebius,
     _pow_rounded,
+    _shift,
     _trim,
     FIBONACCI,
     PADOVAN,
@@ -419,6 +421,49 @@ class TestMoebiusCounts:
                     continue
                 assert [c.inside, c.on_circle, c.outside] == expected, coeffs
                 checked += 1
+
+
+def _binomial_moebius(c):
+    """q(w) = sum_k c_k (1 + w)^k (1 - w)^(n - k), expanded term by term:
+    the binomial triple loop that the two Taylor shifts replaced."""
+    n = len(c) - 1
+    q = [0] * (n + 1)
+    for k, ck in enumerate(c):
+        if ck:
+            for i in range(k + 1):
+                for j in range(n - k + 1):
+                    q[i + j] += ck * math.comb(k, i) * math.comb(n - k, j) * (-1) ** j
+    return q
+
+
+class TestMoebiusMap:
+    def test_shift_is_the_composition(self):
+        rng = random.Random(2)
+        for _ in range(300):
+            c = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+            a = rng.randint(-4, 4)
+            p, shifted = IntPolynomial(c), IntPolynomial(_shift(c, a))
+            for x in range(-3, 4):
+                assert shifted(x) == p(x + a), (c, a, x)
+
+    def test_equals_the_binomial_expansion(self):
+        # degrees 0-14, leads +-1 to +-3
+        rng = random.Random(17)
+        for _ in range(5000):
+            c = [rng.randint(-9, 9) for _ in range(rng.randint(0, 14))]
+            c.append(rng.choice((1, -1, 2, -2, 3, -3)))
+            assert _moebius(c) == _binomial_moebius(c), c
+
+    def test_large_coefficients(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            c = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 10))]
+            assert _moebius(c) == _binomial_moebius(c), c
+
+    def test_the_256_letter_cycle(self):
+        # x^256 - x - 1, the characteristic polynomial of the 256-letter cycle
+        c = [-1, -1] + [0] * 254 + [1]
+        assert _moebius(c) == _binomial_moebius(c)
 
 
 class TestRootLayout:

@@ -227,6 +227,15 @@ class TestQuantum:
         assert payload["seed"] == 5 and payload["schema"] == 1
 
 
+    def test_one_step_prints_both_letter_rates(self, runner, fib_path):
+        # seed 1 draws letter 0 and seed 2 letter 1
+        for seed in range(1, 21):
+            r = runner.invoke(main, ["quantum", "--spec", fib_path, "-N", "1", "--seed", str(seed),
+                                     "--format", "json"])
+            assert r.exit_code == 0
+            assert sorted(json.loads(r.stdout)["letter_rates"]) == ["0", "1"], seed
+
+
 class TestAngles:
     @pytest.mark.parametrize("text", ["-1e-20", "-5e-324", "-0.0", "0", "6.283185307179586"])
     def test_angles_that_reduce_to_zero(self, text):
@@ -721,6 +730,19 @@ def test_char_poly_of_the_256_letter_cycle():
     r = _limited([sys.executable, "-c", CYCLE_CHAR_POLY], seconds=10)
     assert (r.returncode, r.stderr) == (0, b"")
     assert json.loads(r.stdout) == [-1, -1] + [0] * 254 + [1]
+
+
+# sha256 of `pv --poly` on x^512 - x - 1 (root counts 171 / 0 / 341), taken
+# while the Moebius map was a binomial triple loop and this call took a minute
+PV_512_DIGEST = "d3e92ef9b781221edeb644de1ac322d181b6fdc1e8c210f40ba09a524bb52712"
+
+
+def test_pv_of_degree_512():
+    poly = ",".join(map(str, [-1, -1] + [0] * 510 + [1]))
+    r = _limited(ENTRY + ["pv", "--poly", poly], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert json.loads(r.stdout)["root_counts"] == {"inside": 171, "on_circle": 0, "outside": 341}
+    assert hashlib.sha256(r.stdout).hexdigest() == PV_512_DIGEST
 
 
 def test_out_of_memory_is_an_error_line(fib_path):

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
+import pisotdyn.crystal as crystal
 from pisotdyn.crystal import (
+    MAX_N,
     MIDDLE_THIRD,
     CantorSpec,
     allowed_orders,
@@ -40,12 +42,73 @@ class TestEulerPhi:
         assert euler_phi(35) == euler_phi(5) * euler_phi(7)
 
 
+def _stepwise_factorize(n):
+    """factorize as it was: the primality shortcut on every 6k +- 1 step."""
+    out = []
+    for p in (2, 3):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    d = 5
+    while d * d <= n:
+        if crystal._is_prime(n):
+            break
+        for p in (d, d + 2):
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out.append((p, e))
+        d += 6
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 class TestFactorize:
     def test_basic(self):
         assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
 
     def test_large_prime(self):
         assert factorize(10**9 + 7) == [(10**9 + 7, 1)]
+
+    def test_primality_is_tested_once_per_cofactor(self, monkeypatch):
+        calls = []
+        is_prime = crystal._is_prime
+        monkeypatch.setattr(crystal, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert factorize(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+        assert len(calls) <= 2
+
+    def test_equals_the_stepwise_loop_up_to_1e5(self):
+        for n in range(1, 10**5 + 1):
+            assert factorize(n) == _stepwise_factorize(n), n
+
+    def test_equals_the_stepwise_loop_on_63_bit_values(self):
+        # one to three small prime powers, and below 2^30 a cofactor that is
+        # 1, a large prime, or a prime below 2 * 10^4 times a large prime
+        rng = random.Random(6)
+        small = [p for p in range(2, 1000) if crystal._is_prime(p)]
+
+        def prime_below(bound):
+            q = rng.randrange(bound // 2, bound)
+            while not crystal._is_prime(q):
+                q -= 1
+            return q
+
+        for _ in range(300):
+            n = 1
+            for p in rng.sample(small, rng.randint(1, 3)):
+                n *= p ** rng.randint(1, 2)
+            kind = rng.randrange(3)
+            if kind and n < 2**30:
+                mid = prime_below(2 * 10**4) if kind == 2 else 1
+                n *= mid * prime_below(MAX_N // (n * mid))
+            assert n <= MAX_N
+            assert factorize(n) == _stepwise_factorize(n), n
 
 
 class TestHiller:

@@ -1,7 +1,7 @@
 import math
 import random
 import types
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -22,6 +22,7 @@ from pisotdyn.substitution import (
     PADOVAN_SUBST,
     PELL_SUBST,
     Substitution,
+    apply,
     incidence_matrix,
     iterate,
 )
@@ -64,6 +65,51 @@ class TestFirstKind:
         assert abs(sum(abs(a) ** 2 for _, a in out.amplitudes) - 1) < 1e-12
 
 
+
+def _flagged_first_kind(sigma, psi):
+    """apply_first_kind as it was: images keyed by their letters, each
+    carrying a collision flag."""
+    out = {}
+    for w, a in psi.amplitudes:
+        img = apply(sigma, w)
+        key = img.letters
+        if key in out:
+            out[key] = (out[key][0], out[key][1] + a, True)
+        else:
+            out[key] = (img, a, False)
+    collided = any(flag for _, _, flag in out.values())
+    return QuantumState.from_dict({word: a for word, a, _ in out.values()}, renormalized=collided)
+
+
+class TestFirstKindEqualsFlaggedReference:
+    def test_seeded_states(self):
+        # short images over few letters collide often; amplitudes +-a of
+        # colliding words cancel, and a support that cancels whole is an error
+        rng = random.Random(8)
+        amplitudes = (1, -1, 1j, -0.0 - 1j, 0.5 + 0.25j, -0.5 - 0.25j)
+        collided = cancelled = 0
+        for _ in range(2000):
+            alphabet = Alphabet(tuple(str(i) for i in range(rng.randint(2, 3))))
+            images = {c: "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 2)))
+                      for c in alphabet.symbols}
+            sigma = Substitution.from_rules(alphabet, images)
+            words = {Word(alphabet, [rng.randrange(alphabet.size) for _ in range(rng.randint(1, 3))])
+                     for _ in range(rng.randint(1, 8))}
+            psi = QuantumState.from_dict({w: rng.choice(amplitudes) for w in words})
+            distinct = {apply(sigma, w) for w, _ in psi.amplitudes}
+            try:
+                want = _flagged_first_kind(sigma, psi)
+            except ValueError:  # every amplitude cancelled
+                with pytest.raises(ValueError, match="empty support"):
+                    apply_first_kind(sigma, psi)
+                cancelled += 1
+                continue
+            # repr tells -0.0 from 0.0 in every amplitude
+            assert repr(apply_first_kind(sigma, psi)) == repr(want), (images, psi)
+            collided += want.renormalized
+            cancelled += len(want.amplitudes) < len(distinct)
+        assert collided > 200 and cancelled > 30, (collided, cancelled)
+
 class TestSymmetricState:
     def test_binary_two(self):
         s = symmetric_state(BINARY, 2)
@@ -73,6 +119,14 @@ class TestSymmetricState:
     def test_cap(self):
         with pytest.raises(ValueError):
             symmetric_state(BINARY, 25)
+
+    def test_equals_the_word_by_word_build(self):
+        for size in (2, 3, 4):
+            alphabet = Alphabet(tuple(str(i) for i in range(size)))
+            for n in range(1, 6):
+                amp = 1.0 / math.sqrt(size**n)
+                amps = {Word(alphabet, letters): amp for letters in product(range(size), repeat=n)}
+                assert repr(symmetric_state(alphabet, n)) == repr(QuantumState.from_dict(amps))
 
 
 class TestQuantumComplexity:
@@ -158,6 +212,12 @@ class TestSimulation:
         b = quantum_spacing_simulate(FIBONACCI_SUBST, TAU % (2 * math.pi), 1.0, 500, 99)
         assert a.angles.angles == b.angles.angles
         assert a.outcomes == b.outcomes
+
+    def test_letter_rates_cover_both_letters(self):
+        # one step draws one letter; the other letter's rate is 0, not missing
+        for seed in range(1, 21):
+            run = quantum_spacing_simulate(FIBONACCI_SUBST, 1.0, 2.0, 1, seed)
+            assert run.letter_rates == ((1.0, 0.0) if run.outcomes == (0,) else (0.0, 1.0))
 
     def test_rate_concentration(self):
         run = quantum_spacing_simulate(PELL_SUBST, 1.0, 2.0, 10**4, 7)

@@ -1,0 +1,78 @@
+"""Byte identity of the CLI against another revision.
+
+    python tools/identity.py --parent REV --seeds 1-10
+
+Checks REV out in a temporary git worktree, builds the calls of every
+workload in perfbench/workloads.py at each seed, and runs each call as
+`python -m pisotdyn.cli` on this tree and on REV, with stdout buffered and
+bytecode cached as an installed script has them.  Prints every call whose
+exit code, stdout or stderr differs, and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no cache under perfbench/
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+
+def run(tree: Path, argv, work: Path):
+    """(exit code, stdout, stderr) of one CLI call on the sources of tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name in ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE"):
+        env.pop(name, None)
+    r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", *argv], cwd=work, env=env,
+                       capture_output=True)
+    return r.returncode, r.stdout, r.stderr
+
+
+def seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"), help="A-B or one seed")
+    args = ap.parse_args(argv)
+    calls = mismatched = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.parent], check=True)
+        try:
+            for name in sorted(workloads.WORKLOADS):
+                for seed in args.seeds:
+                    work = Path(tmp) / f"{name}-{seed}"
+                    work.mkdir()
+                    specs, pass_calls = workloads.build(name, seed)
+                    for stem, rules in specs.items():
+                        spec = {"alphabet": sorted(rules), "rules": rules}
+                        (work / f"{stem}.json").write_text(json.dumps(spec))
+                    for call in pass_calls:
+                        want, got = run(parent, call.argv, work), run(ROOT, call.argv, work)
+                        calls += 1
+                        if got != want:
+                            mismatched += 1
+                            fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), want, got)
+                                      if a != b]
+                            print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
+                                  f"(exit {want[0]} -> {got[0]})")
+        finally:
+            subprocess.run(git + ["remove", "--force", str(parent)], check=True)
+    print(f"{calls} calls, {mismatched} mismatched")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
