@@ -283,8 +283,8 @@ def _union(rows) -> int:
     return out
 
 
-def normalized_iterates(m: IntMatrix, v, norm):
-    """The normalized power iterates v_k = M v_(k-1) / norm(M v_(k-1)) on
+def normalized_iterates(m: IntMatrix, v):
+    """The l2-normalized power iterates v_k = M v_(k-1) / |M v_(k-1)| on
     floats, from v_0 = v, as tuples.
 
     The float map is deterministic, so once v_k equals v_(k-2) the iterates
@@ -294,27 +294,12 @@ def normalized_iterates(m: IntMatrix, v, norm):
     before, last = None, tuple(v)
     while True:
         w = m.apply(last)
-        s = norm(w)
+        s = math.sqrt(sum(x * x for x in w))
         w = tuple(x / s for x in w)
         yield w
         if w == before:
             return
         before, last = last, w
-
-
-def power_iteration(m: IntMatrix, v, norm, tol: float, n_max: int):
-    """Normalized power iteration on floats: v <- M v / norm(M v) until no
-    entry moves by tol, at most n_max steps.  Returns (vector, steps)."""
-    before, last, steps = None, tuple(v), 0
-    for steps, w in zip(range(1, n_max + 1), normalized_iterates(m, v, norm)):
-        if max(abs(a - b) for a, b in zip(w, last)) < tol:
-            return w, steps
-        before, last = last, w
-    if steps < n_max and (n_max - steps) % 2:
-        # the generator stopped: later iterates alternate between before
-        # and last, never within tol, so step n_max lands on before
-        return before, n_max
-    return last, n_max
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +432,20 @@ def irreducible_over_q(p: IntPolynomial) -> bool | None:
     other factor would have all its roots strictly inside the disk, so a
     nonzero integer constant term of modulus below 1.
     """
-    return _irreducible(p, None)
+    return _irreducible(p, _schur_cohn(p.squarefree_part()))
 
 
-def _irreducible(p: IntPolynomial, counts: RootCount | None) -> bool | None:
-    """irreducible_over_q; counts, when given, are the schur_cohn counts of
-    p's squarefree part, so p is squarefree exactly when they count deg p
-    roots, and past that check they are p's own."""
+def _irreducible(p: IntPolynomial, counts: RootCount) -> bool | None:
+    """irreducible_over_q, given the schur_cohn counts of p's squarefree
+    part: p is squarefree exactly when they count deg p roots, and past
+    that check they are p's own."""
     n = p.degree
     if n <= 1:
         return n == 1
-    squarefree = p.is_squarefree() if counts is None else counts.degree == n
-    if p.coefficients[0] == 0 or not squarefree:
+    if p.coefficients[0] == 0 or counts.degree != n:
         return False
-    if p.is_monic:
-        if counts is None:
-            counts = _schur_cohn(p)
-        if counts.outside == 1 and counts.on_circle == 0:
-            return True
+    if p.is_monic and counts.outside == 1 and counts.on_circle == 0:
+        return True
     if _has_rational_root(p):
         return False
     return True if n <= 3 else None

@@ -8,7 +8,7 @@ import math
 import random
 from itertools import cycle, islice, product
 
-from .algebraic import IntMatrix, is_primitive, normalized_iterates, power_iteration
+from .algebraic import IntMatrix, is_primitive, normalized_iterates
 from .geometry import _driven_angles
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
@@ -84,21 +84,24 @@ def quantum_entropy_estimate(psi: QuantumState, n: int) -> float:
 # ---------------------------------------------------------------------------
 # second kind: the incidence matrix on the letter space
 
-def _l2_norm(w) -> float:
-    return math.sqrt(sum(x * x for x in w))
-
-
 def second_kind_limit(m: IntMatrix, start: int, tol: float = 1e-13):
-    """Normalized power iteration from the basis letter `start`, at most
-    1000 steps.
+    """Normalized power iteration from the basis letter `start` until no
+    entry moves by tol, at most 1000 steps.
 
     Returns (perron_vector, probabilities, iterations) with the vector
     normalized in l2 and Pr(a) = |<a|e_lambda>|^2.
     """
     if not is_primitive(m):
         raise ValueError("second_kind_limit requires a primitive matrix")
-    v = [float(i == start) for i in range(m.dimension)]
-    v, its = power_iteration(m, v, _l2_norm, tol, 1000)
+    before = last = tuple(float(i == start) for i in range(m.dimension))
+    for its, v in zip(range(1, 1001), normalized_iterates(m, last)):
+        if max(abs(a - b) for a, b in zip(v, last)) < tol:
+            break
+        before, last = last, v
+    else:
+        # after a stop before step 1000 the iterates alternate between
+        # before and last, never within tol; step 1000 lands on one of them
+        its, v = 1000, before if (1000 - its) % 2 else last
     return v, tuple(x * x for x in v), its
 
 
@@ -131,7 +134,7 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
     draw = random.Random(seed).random
-    iterates = normalized_iterates(incidence_matrix(sigma), (1.0, 0.0), _l2_norm)
+    iterates = normalized_iterates(incidence_matrix(sigma), (1.0, 0.0))
     p0s = [v[0] * v[0] for v in islice(iterates, n_steps)]
     # a stop before n_steps: the iterates alternate between the last two
     p0s += islice(cycle(p0s[-2:]), n_steps - len(p0s))

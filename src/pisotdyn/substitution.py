@@ -11,12 +11,13 @@ from .algebraic import (
     IntMatrix,
     IntPolynomial,
     RealApprox,
+    RootBracket,
     _conjugate_modulus_bound,
     _irreducible,
     char_poly,
     is_primitive,
-    power_iteration,
     root_layout,
+    sturm_count,
 )
 from .record import Record
 from .words import Alphabet, PrefixStream, Word, entropy_estimate
@@ -238,7 +239,7 @@ def language_prefix(sigma: Substitution, letter: int, n_max: int, prefix_len: in
 
 class PisotReport(Record):
     # no __slots__: conjugate_moduli_bound caches in __dict__
-    # frequencies: per-letter floats summing to ~1 (empty if not primitive)
+    # frequencies: correctly rounded letter frequencies (empty if not primitive)
     _fields = ("primitive", "char_poly", "leading_eigenvalue", "root_counts",
                "irreducible", "pisot_loose", "pisot_strict", "frequencies")
 
@@ -274,12 +275,39 @@ class PisotReport(Record):
         }
 
 
-def perron_frequencies(m: IntMatrix) -> tuple:
-    """Perron eigenvector of a primitive matrix, normalized to sum 1, by
-    power iteration on floats to a step below 1e-14, at most 10^4 steps
-    (cross-checked symbolically in tests)."""
-    d = m.dimension
-    return power_iteration(m, [1.0 / d] * d, sum, 1e-14, 10000)[0]
+def _letter_frequencies(m: IntMatrix, p: IntPolynomial, lam: RealApprox | None) -> tuple:
+    """The Perron vector of a primitive M over its sum, each entry the
+    correctly rounded float.
+
+    Column 0 of adj(xI - M) is sum_k x^(d-1-k) b_k, b_0 = e_0 and b_k =
+    M b_(k-1) + c_(d-k) e_0, and at the simple root lambda it is a
+    positive multiple of the Perron vector.  lambda's bracket is lam, else
+    (1, cauchy bound] halved on Sturm counts until it holds p's largest
+    real root alone, or [lambda, lambda] when a midpoint is lambda.  Each
+    entry is bounded at the P-bit ends, positive terms at one end and
+    negative at the other, and P doubles until the quotients of the
+    bounds (int/int divisions, correctly rounded) give one float apiece."""
+    d, c = m.dimension, p.coefficients
+    column = [(1,) + (0,) * (d - 1)]
+    for k in range(1, d):
+        b = m.apply(column[-1])
+        column.append((b[0] + c[d - k],) + b[1:])
+    rows = [[(k, b) for k, b in enumerate(row) if b] for row in zip(*column)]
+    lo, hi = (lam.lower, lam.upper) if lam else (Fraction(1), p.cauchy_bound())
+    while lam is None and sturm_count(c, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sturm_count(c, mid, hi) else (lo, mid) if p(mid) else (mid, mid)
+    bracket, bits = RootBracket(p, lo, hi), 64
+    while True:
+        # 2^(bits (d-1)) x^(d-1-k) at each end x / 2^bits, by k
+        ends = [[x ** (d - 1 - k) << bits * k for k in range(d)]
+                for x in next(bracket.powers(bits, 1))]
+        low = [sum(b * ends[b < 0][k] for k, b in row) for row in rows]
+        high = [sum(b * ends[b > 0][k] for k, b in row) for row in rows]
+        s_low, s_high = sum(low), sum(high)
+        if s_low > 0 and [a / s_high for a in low] == [b / s_low for b in high]:
+            return tuple(b / s_low for b in high)
+        bits *= 2
 
 
 def classify_pisot(sigma: Substitution) -> PisotReport:
@@ -302,7 +330,7 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
         irreducible=_irreducible(p, layout.counts),
         pisot_loose=layout.lam is not None,
         pisot_strict=layout.pv,
-        frequencies=perron_frequencies(m) if primitive else (),
+        frequencies=_letter_frequencies(m, p, layout.lam) if primitive else (),
     )
 
 

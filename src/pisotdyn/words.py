@@ -295,7 +295,7 @@ class PrefixStream:
     cache.
     """
 
-    _SHORT_TAIL = 64  # below this many unexpanded letters, expand one at a time
+    _SHORT_TAIL = 64  # the fewest letters one join expands, tail permitting
     _MAX_IMAGE = 1024
 
     def __init__(self, alphabet: Alphabet, images, letter: int):
@@ -329,17 +329,12 @@ class PrefixStream:
     def _grow(self, length: int) -> None:
         """Extend the buffer to at least `length` letters by expanding only
         letters not yet expanded, about as many as the letters-per-output
-        ratio so far says are needed; every letter yields at least one."""
+        ratio so far says are needed, at least _SHORT_TAIL or the whole
+        tail; every letter yields at least one, so the tail never empties."""
         buf, images, done = self._buf, self._images, self._expanded
         while len(buf) < length:
-            tail = len(buf) - done
-            if tail >= self._SHORT_TAIL:
-                need = (length - len(buf)) * done // len(buf) + 1
-                n = min(tail, max(need, self._SHORT_TAIL))
-                buf += b"".join(map(images.__getitem__, buf[done : done + n]))
-                done += n
-            else:
-                for _ in range(self._SHORT_TAIL):
-                    buf += images[buf[done]]
-                    done += 1
+            need = (length - len(buf)) * done // len(buf) + 1
+            n = min(len(buf) - done, max(need, self._SHORT_TAIL))
+            buf += b"".join(map(images.__getitem__, buf[done : done + n]))
+            done += n
         self._expanded = done

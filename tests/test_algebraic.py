@@ -30,7 +30,6 @@ from pisotdyn.algebraic import (
     irreducible_over_q,
     is_primitive,
     is_pv,
-    power_iteration,
     power_sums,
     pv_decay,
     pv_verdict,
@@ -42,6 +41,7 @@ from pisotdyn.algebraic import (
     wielandt_bound,
 )
 from pisotdyn.geometry import cusp_curve
+from pisotdyn.quantum import second_kind_limit
 from pisotdyn.substitution import Substitution, classify_pisot
 
 GOLDEN = IntPolynomial((-1, -1, 1))      # x^2 - x - 1
@@ -172,6 +172,17 @@ def _l2(w):
 
 
 class TestPowerIteration:
+    """second_kind_limit, the one tolerance-stopped power iteration, reads
+    the stopping generator normalized_iterates; it must end where taking
+    every step would."""
+
+    @staticmethod
+    def assert_matches_the_stepwise_loop(m, start, tol):
+        v, probs, its = second_kind_limit(m, start, tol)
+        basis = [float(i == start) for i in range(m.dimension)]
+        assert (v, its) == _stepwise_power_iteration(m, basis, _l2, tol, 1000)
+        assert probs == tuple(x * x for x in v)
+
     def test_matches_the_stepwise_loop_on_random_primitive_matrices(self):
         rng = random.Random(5)
         checked = 0
@@ -181,19 +192,16 @@ class TestPowerIteration:
                                 for _ in range(n)))
             if not is_primitive(m):
                 continue
-            start = [1.0 / n] * n if checked % 2 else [float(i == 0) for i in range(n)]
-            for norm, tol in ((sum, 1e-14), (_l2, 1e-13), (_l2, 1e-15)):
-                assert (power_iteration(m, start, norm, tol, 1000)
-                        == _stepwise_power_iteration(m, start, norm, tol, 1000))
+            for tol in (1e-13, 1e-15):
+                self.assert_matches_the_stepwise_loop(m, checked % n, tol)
             checked += 1
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 99, 100])
-    def test_alternating_iterates_end_on_the_step_the_loop_ends_on(self, n_max):
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_alternating_iterates_end_on_the_step_the_loop_ends_on(self, start):
         # the iterates of [[2, 2], [1, 0]] alternate between two float
-        # vectors, so tol 0 is never met and n_max's parity picks the vector
-        m = IntMatrix(((2, 2), (1, 0)))
-        assert (power_iteration(m, [1.0, 0.0], _l2, 0.0, n_max)
-                == _stepwise_power_iteration(m, [1.0, 0.0], _l2, 0.0, n_max))
+        # vectors, so tol 0 is never met and step 1000's parity picks the
+        # vector
+        self.assert_matches_the_stepwise_loop(IntMatrix(((2, 2), (1, 0))), start, 0.0)
 
 
 class TestSchurCohn:
@@ -945,15 +953,25 @@ class TestDecideOnce:
         return opened
 
     def test_classify_pisot_counts_once(self, moebius_calls, monkeypatch):
-        gcds = []
+        import pisotdyn.algebraic as algebraic
+        import pisotdyn.substitution as substitution
+
+        gcds, sturm = [], []
         repeated_part = IntPolynomial.repeated_part
         monkeypatch.setattr(IntPolynomial, "repeated_part",
                             lambda p: gcds.append(p) or repeated_part(p))
+        # the frequencies read lambda off the layout: no Sturm count, nor
+        # any other sign-variation count
+        for module, name in ((substitution, "sturm_count"), (algebraic, "_var_at")):
+            counted = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, f=counted: sturm.append(a) or f(*a))
         spec = {"alphabet": ["0", "1", "2", "3"],
                 "rules": {"0": "01", "1": "02", "2": "03", "3": "0"}}
         report = classify_pisot(Substitution.from_json(json.dumps(spec)))
         assert report.irreducible is True and report.pisot_strict
-        assert len(moebius_calls) == 1 and len(gcds) == 1
+        assert len(report.frequencies) == 4
+        assert len(moebius_calls) == 1 and len(gcds) == 1 and sturm == []
         # the bound takes the squarefree part off the layout, with no gcd
         assert report.to_dict()["conjugate_moduli_bound"] < 1
         assert len(gcds) == 1 and len(moebius_calls) == 41

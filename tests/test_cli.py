@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -730,6 +731,23 @@ def test_char_poly_of_the_256_letter_cycle():
     r = _limited([sys.executable, "-c", CYCLE_CHAR_POLY], seconds=10)
     assert (r.returncode, r.stderr) == (0, b"")
     assert json.loads(r.stdout) == [-1, -1] + [0] * 254 + [1]
+
+
+def test_analyze_of_the_256_letter_cycle(tmp_path):
+    # p = x^256 - x - 1 is no Pisot layout, so lambda is isolated by Sturm
+    # counts; the frequencies are v_i = lambda^-((i - 1) mod 256) over their sum
+    rules = {f"a{i}": f"a{i + 1}" for i in range(255)} | {"a255": "a0,a1"}
+    path = tmp_path / "cycle256.json"
+    path.write_text(json.dumps({"alphabet": list(rules), "rules": rules}))
+    r = _limited(ENTRY + ["subst", str(path), "analyze"], seconds=20)
+    assert (r.returncode, r.stderr) == (0, b"")
+    report = json.loads(r.stdout)
+    assert report["pisot_loose"] is False
+    with mpmath.workdps(60):
+        lam = mpmath.findroot(lambda x: x**256 - x - 1, mpmath.mpf("1.01"))
+        v = [lam ** -((i - 1) % 256) for i in range(256)]
+        total = sum(v)
+        assert report["frequencies"] == [float(x / total) for x in v]
 
 
 # sha256 of `pv --poly` on x^512 - x - 1 (root counts 171 / 0 / 341), taken

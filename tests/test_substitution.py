@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,85 @@ class TestClassify:
             w = fixed_point_prefix(s, 0, 10**5).prefix(10**5)
             emp = empirical_frequencies(w)
             assert max(abs(float(e) - f) for e, f in zip(emp, rep.frequencies)) < 1e-3
+
+
+def _spec(rules: dict) -> Substitution:
+    return Substitution.from_json(json.dumps({"alphabet": list(rules), "rules": rules}))
+
+
+def _cycle(d: int) -> Substitution:
+    """Letter i -> i+1 and the last letter -> 01: p = x^d - x - 1, and the
+    Perron vector is v_i = lambda^-((i - 1) mod d)."""
+    return _spec({f"a{i}": f"a{i + 1}" for i in range(d - 1)} | {f"a{d - 1}": "a0,a1"})
+
+
+def _rounded(vector) -> tuple:
+    """The floats nearest to the entries of an mpmath vector over its sum."""
+    total = sum(vector)
+    return tuple(float(x / total) for x in vector)
+
+
+def _perron_oracle(sigma: Substitution) -> tuple:
+    """Frequencies from mpmath's eigenvector of the Perron root, at 60
+    digits, each rounded to the nearest float."""
+    m = incidence_matrix(sigma)
+    with mpmath.workdps(60):
+        values, vectors = mpmath.eig(mpmath.matrix([list(row) for row in m.entries]))
+        j = max(range(m.dimension), key=lambda i: mpmath.re(values[i]))
+        return _rounded([mpmath.re(vectors[i, j]) for i in range(m.dimension)])
+
+
+class TestFrequencies:
+    """Every frequency is the correctly rounded float of the Perron vector
+    normalized to sum 1."""
+
+    @pytest.mark.parametrize("sigma", [FIBONACCI_SUBST, PELL_SUBST, PADOVAN_SUBST, THUE_MORSE,
+                                       Substitution.from_rules(TERNARY, {"0": "01", "1": "02",
+                                                                         "2": "0"})],
+                             ids=["fibonacci", "pell", "padovan", "thue-morse", "tribonacci"])
+    def test_named_specs(self, sigma):
+        assert classify_pisot(sigma).frequencies == _perron_oracle(sigma)
+
+    def test_seeded_primitive_specs(self):
+        rng = random.Random(18)
+        checked = loose = 0
+        while checked < 200:
+            alphabet = Alphabet(tuple("01234"[: rng.randint(2, 5)]))
+            sigma = Substitution.from_rules(alphabet, {
+                a: "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 4)))
+                for a in alphabet.symbols})
+            report = classify_pisot(sigma)
+            if not report.primitive:
+                continue
+            assert report.frequencies == _perron_oracle(sigma), sigma.to_json()
+            checked += 1
+            loose += report.pisot_loose
+        assert 0 < loose < checked  # both ways of bracketing lambda are taken
+
+    @pytest.mark.parametrize("rules, loose", [({"0": "001", "1": "011"}, False),
+                                              ({"0": "01", "1": "10"}, True)],
+                             ids=["lambda-3", "thue-morse"])
+    def test_integer_perron_root(self, rules, loose):
+        # p = (x - 3)(x - 1) has no Pisot layout, so lambda = 3 is bracketed
+        # by Sturm counts; Thue-Morse's lambda = 2 comes from the layout
+        report = classify_pisot(_spec(rules))
+        assert report.pisot_loose == loose and report.frequencies == (0.5, 0.5)
+
+    @pytest.mark.parametrize("rules", [{"0": "12", "1": "110", "2": "0212"},
+                                       {"0": "323", "1": "21012", "2": "10", "3": "30"}])
+    def test_halving_that_meets_lambda(self, rules):
+        # p = (x - 3)(x^2 - x - 1) and (x - 3)(x^3 - 3x - 1): halving (1, 5]
+        # and (1, 9] on Sturm counts meets lambda = 3 at a midpoint
+        sigma = _spec(rules)
+        assert classify_pisot(sigma).frequencies == _perron_oracle(sigma)
+
+    @pytest.mark.parametrize("d", [24, 64])
+    def test_slowly_mixing_cycle(self, d):
+        report = classify_pisot(_cycle(d))
+        assert not report.pisot_loose
+        with mpmath.workdps(60):
+            lam = mpmath.findroot(lambda x: x**d - x - 1, mpmath.mpf("1.1"))
+            assert report.frequencies == _rounded([lam ** -((i - 1) % d) for i in range(d)])
 
 
 class TestEntropyOfSubstitution:

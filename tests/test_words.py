@@ -266,3 +266,20 @@ class TestPrefixStream:
         longest = max(results, key=len)
         assert all(longest.letters.startswith(r.letters) for r in results)
         assert longest == PrefixStream(BINARY, self.FIB_IMAGES, 0).prefix(200_000)
+
+    def test_seeded_prefixes_match_string_substitution(self):
+        # slow growth (most images one letter) makes the unexpanded tail short
+        rng = random.Random(18)
+        for _ in range(400):
+            size = rng.randint(2, 4)
+            rules = [[rng.randrange(size) for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+                     for _ in range(size)]
+            rules[0] = [0] + rules[0][: rng.randint(1, 2)]
+            alphabet = Alphabet(tuple(str(i) for i in range(size)))
+            # sigma^(2^j) by string substitution, each image cut at 3000
+            images = power = ["".join(map(str, img)) for img in rules]
+            while len(power[0]) < 3000:
+                power = ["".join(power[int(c)] for c in img)[:3000] for img in power]
+            stream = PrefixStream(alphabet, [bytes(img) for img in rules], 0)
+            for length in sorted(rng.randrange(3000) for _ in range(4)) + [3000]:
+                assert str(stream.prefix(length)) == power[0][:length], images

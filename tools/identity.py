@@ -6,7 +6,8 @@ Checks REV out in a temporary git worktree, builds the calls of every
 workload in perfbench/workloads.py at each seed, and runs each call as
 `python -m pisotdyn.cli` on this tree and on REV, with stdout buffered and
 bytecode cached as an installed script has them.  Prints every call whose
-exit code, stdout or stderr differs, and exits 1 if any does.
+exit code, stdout or stderr differs, with the keys whose values differ when
+both stdouts are JSON objects, and exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ def run(tree: Path, argv, work: Path):
     r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", *argv], cwd=work, env=env,
                        capture_output=True)
     return r.returncode, r.stdout, r.stderr
+
+
+def changed_keys(want: bytes, got: bytes) -> list:
+    """The keys whose values differ when both stdouts parse as JSON
+    objects, else []."""
+    try:
+        a, b = json.loads(want), json.loads(got)
+    except ValueError:
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    missing = object()
+    return sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
 
 
 def seed_range(text: str) -> range:
@@ -66,6 +80,9 @@ def main(argv=None) -> int:
                             mismatched += 1
                             fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), want, got)
                                       if a != b]
+                            keys = changed_keys(want[1], got[1])
+                            if keys:
+                                fields[fields.index("stdout")] += f" (keys: {', '.join(keys)})"
                             print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
                                   f"(exit {want[0]} -> {got[0]})")
         finally:
