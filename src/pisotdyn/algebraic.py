@@ -228,15 +228,16 @@ class IntMatrix(Record):
         return tuple(sum(map(mul, row, v)) for row in self.entries)
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """det(x*I - M) via the Faddeev-LeVerrier recursion over the integers:
+def _faddeev_leverrier(m: IntMatrix) -> tuple:
+    """det(x*I - M) and column 0 of B_0, ..., B_(n-1), by the recursion
     B_0 = I, A_k = M B_(k-1), c_(n-k) = -trace(A_k)/k exactly, B_k = A_k +
     c_(n-k) I.  M and each B_k are rows of their nonzero entries, so row i
     of A_k sums the rows of B_(k-1) that row i of M names."""
     n = m.dimension
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in m.entries]
-    coeffs, b = [0] * n + [1], [{i: 1} for i in range(n)]
+    coeffs, b, column = [0] * n + [1], [{i: 1} for i in range(n)], []
     for k in range(1, n + 1):
+        column.append(tuple(r.get(0, 0) for r in b))
         a = [{} for _ in range(n)]
         for acc, row in zip(a, rows):
             for j, x in row:
@@ -249,7 +250,12 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         for i, r in enumerate(a):
             r[i] = r.get(i, 0) + c
         b = [{col: y for col, y in r.items() if y} for r in a]
-    return IntPolynomial(coeffs)
+    return IntPolynomial(coeffs), column
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """det(x*I - M) by the integer Faddeev-LeVerrier recursion."""
+    return _faddeev_leverrier(m)[0]
 
 
 def wielandt_bound(d: int) -> int:
@@ -557,14 +563,20 @@ _LAMBDA_WIDTH = Fraction(1, 10**12)
 
 
 def dominant_root_interval(p: IntPolynomial, width: Fraction = _LAMBDA_WIDTH) -> RealApprox:
-    """Isolating interval for the unique real root of p in (1, cauchy_bound].
-
-    Valid when p has exactly one root there (PV and Pisot-type cases).
-    """
-    hi = p.cauchy_bound()
-    if sturm_count(p.coefficients, 1, hi) != 1:
-        raise ValueError("no unique dominant real root in (1, cauchy bound]")
-    return RootBracket(p, 1, hi).bisect(width).approx()
+    """Isolating interval for the largest real root of a squarefree p, in
+    (1, cauchy_bound]: halved on Sturm counts until it holds that root
+    alone (or [root, root] when a midpoint is it), then bisected."""
+    chain, lo, hi = _sturm_chain(p.coefficients), Fraction(1), p.cauchy_bound()
+    v_lo, v_hi = _var_at(chain, lo), _var_at(chain, hi)
+    if v_lo == v_hi:
+        raise ValueError("no real root in (1, cauchy bound]")
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = _var_at(chain, mid)
+        if v_mid == v_hi and p(mid) == 0:
+            return RealApprox(mid, mid)
+        lo, v_lo, hi = (mid, v_mid, hi) if v_mid > v_hi else (lo, v_lo, mid)
+    return RootBracket(p, lo, hi).bisect(width).approx()
 
 
 def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox:

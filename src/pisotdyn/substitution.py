@@ -13,11 +13,11 @@ from .algebraic import (
     RealApprox,
     RootBracket,
     _conjugate_modulus_bound,
+    _faddeev_leverrier,
     _irreducible,
-    char_poly,
+    dominant_root_interval,
     is_primitive,
     root_layout,
-    sturm_count,
 )
 from .record import Record
 from .words import Alphabet, PrefixStream, Word, entropy_estimate
@@ -275,29 +275,20 @@ class PisotReport(Record):
         }
 
 
-def _letter_frequencies(m: IntMatrix, p: IntPolynomial, lam: RealApprox | None) -> tuple:
+def _letter_frequencies(column: list, p: IntPolynomial, lam: RealApprox | None) -> tuple:
     """The Perron vector of a primitive M over its sum, each entry the
     correctly rounded float.
 
-    Column 0 of adj(xI - M) is sum_k x^(d-1-k) b_k, b_0 = e_0 and b_k =
-    M b_(k-1) + c_(d-k) e_0, and at the simple root lambda it is a
-    positive multiple of the Perron vector.  lambda's bracket is lam, else
-    (1, cauchy bound] halved on Sturm counts until it holds p's largest
-    real root alone, or [lambda, lambda] when a midpoint is lambda.  Each
-    entry is bounded at the P-bit ends, positive terms at one end and
-    negative at the other, and P doubles until the quotients of the
-    bounds (int/int divisions, correctly rounded) give one float apiece."""
-    d, c = m.dimension, p.coefficients
-    column = [(1,) + (0,) * (d - 1)]
-    for k in range(1, d):
-        b = m.apply(column[-1])
-        column.append((b[0] + c[d - k],) + b[1:])
+    Column 0 of adj(xI - M) is sum_k x^(d-1-k) b_k, b_k column 0 of the
+    Faddeev-LeVerrier B_k: at the simple root lambda (bracketed by lam, else
+    as the largest real root of p's squarefree part) a positive multiple of
+    the Perron vector.  Each entry is bounded at the P-bit ends, positive
+    terms at one end and negative at the other; P doubles until the
+    correctly rounded int/int quotients of the bounds give one float each."""
+    d = len(column)
     rows = [[(k, b) for k, b in enumerate(row) if b] for row in zip(*column)]
-    lo, hi = (lam.lower, lam.upper) if lam else (Fraction(1), p.cauchy_bound())
-    while lam is None and sturm_count(c, lo, hi) > 1:
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if sturm_count(c, mid, hi) else (lo, mid) if p(mid) else (mid, mid)
-    bracket, bits = RootBracket(p, lo, hi), 64
+    lam = lam or dominant_root_interval(p.squarefree_part())
+    bracket, bits = RootBracket(p, lam.lower, lam.upper), 64
     while True:
         # 2^(bits (d-1)) x^(d-1-k) at each end x / 2^bits, by k
         ends = [[x ** (d - 1 - k) << bits * k for k in range(d)]
@@ -319,7 +310,7 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
     Kronecker's theorem makes p irreducible over Q.
     """
     m = incidence_matrix(sigma)
-    p = char_poly(m)
+    p, column = _faddeev_leverrier(m)
     primitive = is_primitive(m)
     layout = root_layout(p)
     return PisotReport(
@@ -330,7 +321,7 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
         irreducible=_irreducible(p, layout.counts),
         pisot_loose=layout.lam is not None,
         pisot_strict=layout.pv,
-        frequencies=_letter_frequencies(m, p, layout.lam) if primitive else (),
+        frequencies=_letter_frequencies(column, p, layout.lam) if primitive else (),
     )
 
 

@@ -677,6 +677,23 @@ class TestRootBracket:
         fine = refine_root(p, iv, Fraction(1, 10**40))
         assert fine.lower <= Fraction(5, 2) <= fine.upper and fine.width <= Fraction(1, 10**40)
 
+    @pytest.mark.parametrize("coeffs, root", [
+        ((-77, 95, -19, 1), 11),  # (x - 1)(x - 7)(x - 11): 1 is an end
+        ((3, 2, -4, 1), 3),  # (x - 3)(x^2 - x - 1): 3 is the midpoint of (1, 5]
+    ])
+    def test_largest_of_several_roots(self, coeffs, root, monkeypatch):
+        import pisotdyn.algebraic as algebraic
+
+        chains, chain = [], algebraic._sturm_chain
+        monkeypatch.setattr(algebraic, "_sturm_chain", lambda *a: chains.append(a) or chain(*a))
+        iv = dominant_root_interval(IntPolynomial(coeffs))
+        assert iv.lower <= root <= iv.upper and iv.width <= Fraction(1, 10**12)
+        assert len(chains) == 1
+
+    def test_no_root_above_one(self):
+        with pytest.raises(ValueError):
+            dominant_root_interval(IntPolynomial((1, 1)))
+
     def test_root_at_upper_end(self):
         p = IntPolynomial((5, -7, 2))
         iv = refine_root(p, RealApprox(Fraction(3, 2), Fraction(5, 2)), Fraction(1, 10**20))
@@ -954,7 +971,6 @@ class TestDecideOnce:
 
     def test_classify_pisot_counts_once(self, moebius_calls, monkeypatch):
         import pisotdyn.algebraic as algebraic
-        import pisotdyn.substitution as substitution
 
         gcds, sturm = [], []
         repeated_part = IntPolynomial.repeated_part
@@ -962,9 +978,9 @@ class TestDecideOnce:
                             lambda p: gcds.append(p) or repeated_part(p))
         # the frequencies read lambda off the layout: no Sturm count, nor
         # any other sign-variation count
-        for module, name in ((substitution, "sturm_count"), (algebraic, "_var_at")):
-            counted = getattr(module, name)
-            monkeypatch.setattr(module, name,
+        for name in ("sturm_count", "_var_at"):
+            counted = getattr(algebraic, name)
+            monkeypatch.setattr(algebraic, name,
                                 lambda *a, f=counted: sturm.append(a) or f(*a))
         spec = {"alphabet": ["0", "1", "2", "3"],
                 "rules": {"0": "01", "1": "02", "2": "03", "3": "0"}}

@@ -358,6 +358,20 @@ class TestFrequencies:
         sigma = _spec(rules)
         assert classify_pisot(sigma).frequencies == _perron_oracle(sigma)
 
+    @pytest.mark.parametrize("rules", [
+        {"0": "00000122223", "1": "01111123333", "2": "00001222223", "3": "01111233333"},
+        {str(i): f"{i}{(i + 1) % 6}{(i - 1) % 6}" * 2 for i in range(6)},
+    ], ids=["circulant-4", "circulant-6"])
+    def test_repeated_eigenvalues(self, rules):
+        # circulant M, so the Perron vector is uniform.  p = (x - 11)(x - 7)
+        # (x - 1)^2, a double root at 1, the lower end of (1, cauchy bound];
+        # and p = x^2 (x + 2)(x - 4)^2 (x - 6), whose double root 4 is a
+        # midpoint of the halving.  At either, every member of p's own Sturm
+        # chain vanishes
+        report = classify_pisot(_spec(rules))
+        assert not report.pisot_loose
+        assert report.frequencies == (1 / len(rules),) * len(rules)
+
     @pytest.mark.parametrize("d", [24, 64])
     def test_slowly_mixing_cycle(self, d):
         report = classify_pisot(_cycle(d))
