@@ -453,6 +453,14 @@ PINNED = [
      "ca31aae498ac96ea02920c9b25a7887b6442d218e8ffa6226f2c8c55fa55ace0"),
     (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "100000", "--format", "csv"],
      "43952b20a5f5579766639fa8ab6ac7e735f025009628ed6a6e4a5ec29de7e4df"),
+    (["spacing", "roots", "-n", "100000", "--format", "json"],
+     "79adbb2dbed155630c1bdbceb80c676645fa84b30599d1d7d8a95ea55a8c404e"),
+    (["spacing", "drive", "--spec", "{fib}", "-n", "100000", "--format", "csv"],
+     "04f4758102bce36b5e9dd63f657b8554d22ac68c7a68f25c2729ccf6aa755c70"),
+    (["spacing", "drive", "--spec", "{fib}", "-n", "100000", "--format", "json"],
+     "5c37d97a9f2d8096b358346e7cab0696d126695c1b6d22d52ea67aa4943223b8"),
+    (["quantum", "--spec", "{fib}", "--seed", "1", "-N", "100000", "--format", "json"],
+     "4d86ef7c99a8b883bc6bb124c05d0befde7b08603447216b57a728c6bfec55f0"),
 ]
 
 PINNED_SPECS = {
