@@ -156,16 +156,18 @@ def _format_angles(angles, fmt, cusp=False):
     if fmt == "svg":
         return angles.to_svg(mode="cusp" if cusp else "petals")
     stats = geometry.gap_statistics(angles)
-    return json.dumps(
+    rest = json.dumps(
         {
             "schema": 1,
-            "angles": [fmt12(t) for t in angles.angles],
             "gap_mean": fmt12(stats.mean),
             "gap_variance": fmt12(stats.variance),
             "distinct_gaps": stats.distinct_gaps,
         },
         sort_keys=True,
     )
+    # "angles" sorts first: its array of fmt12 strings opens the object
+    rows = geometry._format_rows('"%.12g", ', len(angles), iter(angles.angles))
+    return '{"angles": [' + rows[:-2] + "], " + rest[1:]
 
 
 # ---------------------------------------------------------------------------

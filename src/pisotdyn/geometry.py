@@ -5,6 +5,7 @@ curves and substitution-driven spacing."""
 from __future__ import annotations
 
 import math
+from itertools import count, islice
 
 from .algebraic import IntPolynomial, RootBracket, root_layout
 from .record import Record
@@ -16,6 +17,8 @@ TWO_PI = 2.0 * math.pi
 _TOLERANCE = 1e-9
 # below this, f or 2*pi*f may be a subnormal float, short of 53 bits
 _NORMAL_FRAC = 2.0**-1021
+# rows per `%` operation in AngleList.to_csv and the CLI's JSON angle array
+_CHUNK = 2048
 
 
 class AngleList(Record):
@@ -35,12 +38,9 @@ class AngleList(Record):
         return len(self.angles)
 
     def to_csv(self) -> str:
-        cos, sin = math.cos, math.sin
-        lines = ["k,theta,x,y"]
-        # one format per line; %.12g is fmt12
-        lines += ["%d,%.12g,%.12g,%.12g" % (k, t, cos(t), sin(t))
-                  for k, t in enumerate(self.angles, start=1)]
-        return "\n".join(lines) + "\n"
+        a = self.angles
+        return "k,theta,x,y\n" + _format_rows("%d,%.12g,%.12g,%.12g\n", len(a), count(1),
+                                                iter(a), map(math.cos, a), map(math.sin, a))
 
     def to_svg(self, mode: str = "petals") -> str:
         """Self-contained 400 x 400 SVG: unit circle plus petal segments
@@ -74,6 +74,20 @@ class AngleList(Record):
 def fmt12(x: float) -> str:
     """12 significant digits, stable across runs."""
     return f"{x:.12g}"
+
+
+def _format_rows(row: str, n: int, *columns) -> str:
+    """`row % values` for each of n rows, joined, with one `%` per _CHUNK
+    rows: each iterator in `columns` gives one value per row, in the order
+    of row's fields.  %.12g is fmt12."""
+    out = []
+    for k in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - k)
+        flat = [None] * (len(columns) * m)
+        for i, column in enumerate(columns):
+            flat[i::len(columns)] = islice(column, m)
+        out.append(row * m % tuple(flat))
+    return "".join(out)
 
 
 def geodesic_distance(a: float, b: float) -> float:

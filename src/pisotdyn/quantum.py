@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from itertools import cycle, islice, product
 
 from .algebraic import IntMatrix, is_primitive, normalized_iterates
-from .geometry import _driven_angles
+from .geometry import AngleList, _driven_angles
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
 from .words import Alphabet, Word, complexity
@@ -112,7 +113,12 @@ class SpacingRun(Record):
     """The result of a measurement-driven run (unhashable: the manifest is
     a dict)."""
 
-    __slots__ = _fields = ("angles", "outcomes", "manifest")
+    _fields = ("outcomes", "manifest")  # no __slots__: angles caches in __dict__
+
+    @cached_property
+    def angles(self) -> AngleList:
+        """The walk that the outcomes drive, computed on first read."""
+        return _driven_angles(self.outcomes, self.manifest["beta0"], self.manifest["beta1"])
 
     @property
     def letter_rates(self) -> tuple:
@@ -148,4 +154,4 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
         "beta1": beta1,
         "substitution": sigma.to_dict(),
     }
-    return SpacingRun(_driven_angles(outcomes, beta0, beta1), outcomes, manifest)
+    return SpacingRun(outcomes, manifest)

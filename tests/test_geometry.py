@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from pisotdyn.algebraic import IntPolynomial
 from pisotdyn.geometry import (
+    _format_rows,
     _two_pi,
     TWO_PI,
     AngleList,
@@ -296,6 +298,45 @@ class TestExports:
             for k, t in enumerate(angles, start=1)
         )
         assert AngleList(angles).to_csv() == expected
+
+    # 0, the least subnormal and normal floats, the float below 2*pi, a
+    # negative zero (sin -0), and angles where cos or sin is 0 or +-1
+    SPECIAL = (0.0, -0.0, 5e-324, 2.0**-1022, math.nextafter(TWO_PI, 0.0),
+               math.pi / 2, math.pi, 1.5 * math.pi)
+
+    @classmethod
+    def seeded_angles(cls, n, seed):
+        rng = random.Random(seed)
+        return tuple(rng.choice(cls.SPECIAL) if rng.random() < 0.25 else rng.uniform(0, TWO_PI)
+                     for _ in range(n))
+
+    LENGTHS = pytest.mark.parametrize("n", [0, 1, 2, 2047, 2048, 2049, 3 * 2048 + 5])
+
+    @LENGTHS
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_csv_equals_the_per_line_reference(self, n, seed):
+        angles = self.seeded_angles(n, seed)
+        lines = ["k,theta,x,y"] + ["%d,%.12g,%.12g,%.12g" % (k, t, math.cos(t), math.sin(t))
+                                   for k, t in enumerate(angles, start=1)]
+        assert AngleList(angles).to_csv() == "\n".join(lines) + "\n"
+
+    @LENGTHS
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_json_angle_array_equals_the_per_line_reference(self, n, seed):
+        from pisotdyn.cli import _format_angles
+
+        angles = self.seeded_angles(n, seed)
+        rows = _format_rows('"%.12g", ', n, iter(angles))
+        assert "[" + rows[:-2] + "]" == json.dumps([fmt12(t) for t in angles])
+        if n >= 2:
+            stats = gap_statistics(AngleList(angles))
+            assert _format_angles(AngleList(angles), "json") == json.dumps({
+                "schema": 1,
+                "angles": [fmt12(t) for t in angles],
+                "gap_mean": fmt12(stats.mean),
+                "gap_variance": fmt12(stats.variance),
+                "distinct_gaps": stats.distinct_gaps,
+            }, sort_keys=True)
 
     def test_svg_selfcontained(self):
         svg = roots_of_unity(5).to_svg()

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import types
 from itertools import islice, product
@@ -7,6 +9,7 @@ import pytest
 
 import pisotdyn.quantum as quantum
 from pisotdyn.algebraic import normalized_iterates
+from pisotdyn.geometry import _driven_angles
 from pisotdyn.quantum import (
     QuantumState,
     apply_first_kind,
@@ -212,6 +215,14 @@ class TestSimulation:
         b = quantum_spacing_simulate(FIBONACCI_SUBST, TAU % (2 * math.pi), 1.0, 500, 99)
         assert a.angles.angles == b.angles.angles
         assert a.outcomes == b.outcomes
+
+    def test_angles_are_the_driven_walk_cached_on_first_read(self):
+        run = quantum_spacing_simulate(FIBONACCI_SUBST, 1.25, 4.5, 500, 3)
+        assert "angles" not in vars(run)  # nothing built until read
+        assert run.angles == _driven_angles(run.outcomes, 1.25, 4.5)
+        assert run.angles is run.angles
+        for again in (copy.copy(run), copy.deepcopy(run), pickle.loads(pickle.dumps(run))):
+            assert again == run and again.angles == run.angles
 
     def test_letter_rates_cover_both_letters(self):
         # one step draws one letter; the other letter's rate is 0, not missing

@@ -70,10 +70,12 @@ def test_report_caches_its_bound_and_stays_frozen():
 
 def test_spacing_run_is_frozen_and_unhashable():
     # frozen as every record; its manifest is a dict, so it has no hash
-    run = SpacingRun(AngleList((0.5,)), (0,), {})
-    assert run == SpacingRun(AngleList((0.5,)), (0,), {})
+    run = SpacingRun((0,), {"beta0": 0.5, "beta1": 1.5})
+    assert run == SpacingRun((0,), {"beta0": 0.5, "beta1": 1.5})
     with pytest.raises(AttributeError):
         run.outcomes = (1,)
+    with pytest.raises(AttributeError):
+        run.angles = AngleList((0.5,))
     with pytest.raises(TypeError):
         hash(run)
 
