@@ -6,11 +6,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from .record import Record
 from .words import Alphabet, Word
 
 MAX_N = 2**63 - 1
+# factorize trial-divides below _TRIAL; _rho takes one gcd per _RHO_BATCH steps
+_TRIAL = 2**10
+_RHO_BATCH = 128
 
 
 def _is_prime(n: int) -> bool:
@@ -38,34 +42,58 @@ def _is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list:
-    """(prime, exponent) pairs; trial division with a primality shortcut."""
+    """(prime, exponent) pairs in ascending order: trial division below
+    _TRIAL, then Pollard-Brent rho on the cofactor left."""
     if not 1 <= n <= MAX_N:
         raise ValueError("n out of supported range")
-    out = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    d, untested = 5, True
-    while d * d <= n:
-        if untested and _is_prime(n):
-            break
-        untested = False
-        for p in (d, d + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-                untested = True
-        d += 6
+    primes, d = [], 2
+    while d * d <= n and d < _TRIAL:
+        while n % d == 0:
+            n //= d
+            primes.append(d)
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append((n, 1))
-    return out
+        primes += _prime_factors(n)
+    return [(p, primes.count(p)) for p in sorted(set(primes))]
+
+
+def _prime_factors(n: int) -> list:
+    """The prime factors of n > 1, with multiplicity, when n has none below
+    _TRIAL: n itself when it is below _TRIAL^2 or prime, else those of its
+    square root or of the two parts that _rho splits it into."""
+    if n < _TRIAL * _TRIAL or _is_prime(n):
+        return [n]
+    r = math.isqrt(n)
+    if r * r == n:
+        return _prime_factors(r) * 2
+    g = _rho(n)
+    return _prime_factors(g) + _prime_factors(n // g)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of n, composite, not a square and with no factor
+    below _TRIAL: Brent's cycle search on x -> x^2 + c mod n, c = 1, 2, ...,
+    one gcd per _RHO_BATCH steps, and a batch that overshot redone by steps."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g, k = math.gcd(q, n), k + _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def euler_phi(n: int) -> int:

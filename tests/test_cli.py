@@ -523,6 +523,13 @@ def _entry(argv):
     return subprocess.run(ENTRY + argv, env=_env(), capture_output=True, timeout=60)
 
 
+def test_hiller_of_a_63_bit_semiprime_ends_in_seconds():
+    # 999999937 * 1000000007, which trial division took 39 s to split
+    r = subprocess.run(ENTRY + ["hiller", "999999943999999559"], env=_env(),
+                       capture_output=True, timeout=10)
+    assert (r.returncode, r.stdout) == (0, b"1999999942\n")
+
+
 @pytest.fixture
 def columns(monkeypatch):
     # argparse wraps help to the terminal width, which COLUMNS fixes in and

@@ -111,6 +111,62 @@ class TestFactorize:
             assert factorize(n) == _stepwise_factorize(n), n
 
 
+def _trial_division(n):
+    """(prime, exponent) pairs of n by division by every d >= 2 up to its
+    square root."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+class TestFactorizeBeyondTrialDivision:
+    def test_equals_trial_division_up_to_2e5(self):
+        for n in range(1, 2 * 10**5 + 1):
+            assert factorize(n) == _trial_division(n), n
+
+    @staticmethod
+    def prime_near(rng, bound):
+        # a prime in [1031, bound): 1031 is the least prime above 2^10
+        q = rng.randrange(max(bound // 2, 1031), bound)
+        while not crystal._is_prime(q):
+            q -= 1
+        return q
+
+    def test_semiprimes_near_max_n(self):
+        rng = random.Random(20)
+        for _ in range(20):
+            p = self.prime_near(rng, 2 ** rng.randint(21, 31))
+            q = self.prime_near(rng, MAX_N // p)
+            assert factorize(p * q) == sorted([(p, 1), (q, 1)])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_prime_powers_near_max_n(self, k):
+        rng = random.Random(k)
+        for _ in range(5):
+            p = self.prime_near(rng, math.floor(MAX_N ** (1 / k)))
+            assert p > 1024 and p**k <= MAX_N
+            assert factorize(p**k) == [(p, k)]
+
+    def test_squares_and_products_of_powers_near_max_n(self):
+        # a squared semiprime, p^2 r and p q r, with every prime above 2^10
+        rng = random.Random(21)
+        for _ in range(10):
+            for primes in (
+                [self.prime_near(rng, 2**13), self.prime_near(rng, 2**15)] * 2,
+                [self.prime_near(rng, 2**20)] * 2 + [self.prime_near(rng, 2**23)],
+                [self.prime_near(rng, 2**21) for _ in range(3)],
+            ):
+                assert factorize(math.prod(primes)) == sorted(
+                    (p, primes.count(p)) for p in set(primes))
+
+
 class TestHiller:
     def test_spot_values(self):
         assert hiller(5) == 4
