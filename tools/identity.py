@@ -8,6 +8,11 @@ workload in perfbench/workloads.py at each seed, and runs each call as
 bytecode cached as an installed script has them.  Prints every call whose
 exit code, stdout or stderr differs, with the keys whose values differ when
 both stdouts are JSON objects, and exits 1 if any call differs.
+
+It also prints, per workload, the wall time of the calls summed on REV and
+on this tree, and how many calls ran faster here: a coarse signal from one
+interleaved run of each call, not a measurement; speed claims come from
+perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,13 +33,15 @@ import workloads  # noqa: E402
 
 
 def run(tree: Path, argv, work: Path):
-    """(exit code, stdout, stderr) of one CLI call on the sources of tree."""
+    """((exit code, stdout, stderr), wall seconds) of one CLI call on the
+    sources of tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name in ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE"):
         env.pop(name, None)
+    start = time.perf_counter()
     r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", *argv], cwd=work, env=env,
                        capture_output=True)
-    return r.returncode, r.stdout, r.stderr
+    return (r.returncode, r.stdout, r.stderr), time.perf_counter() - start
 
 
 def changed_keys(want: bytes, got: bytes) -> list:
@@ -66,6 +74,7 @@ def main(argv=None) -> int:
         subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.parent], check=True)
         try:
             for name in sorted(workloads.WORKLOADS):
+                times = []  # (seconds on REV, seconds here) per call
                 for seed in args.seeds:
                     work = Path(tmp) / f"{name}-{seed}"
                     work.mkdir()
@@ -74,8 +83,10 @@ def main(argv=None) -> int:
                         spec = {"alphabet": sorted(rules), "rules": rules}
                         (work / f"{stem}.json").write_text(json.dumps(spec))
                     for call in pass_calls:
-                        want, got = run(parent, call.argv, work), run(ROOT, call.argv, work)
+                        (want, want_t), (got, got_t) = (run(parent, call.argv, work),
+                                                        run(ROOT, call.argv, work))
                         calls += 1
+                        times.append((want_t, got_t))
                         if got != want:
                             mismatched += 1
                             fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), want, got)
@@ -85,6 +96,10 @@ def main(argv=None) -> int:
                                 fields[fields.index("stdout")] += f" (keys: {', '.join(keys)})"
                             print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
                                   f"(exit {want[0]} -> {got[0]})")
+                want_s, got_s = map(sum, zip(*times))
+                faster = sum(g < w for w, g in times)
+                print(f"{name}: calls took {want_s:.2f} s on {args.parent} and {got_s:.2f} s here; "
+                      f"{faster} of {len(times)} faster here (coarse: one run of each)")
         finally:
             subprocess.run(git + ["remove", "--force", str(parent)], check=True)
     print(f"{calls} calls, {mismatched} mismatched")
