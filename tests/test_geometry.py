@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from pisotdyn.algebraic import IntPolynomial
+from pisotdyn.cli import _format_angles
 from pisotdyn.geometry import (
     _format_rows,
     _two_pi,
@@ -323,8 +324,6 @@ class TestExports:
     @LENGTHS
     @pytest.mark.parametrize("seed", [1, 2])
     def test_json_angle_array_equals_the_per_line_reference(self, n, seed):
-        from pisotdyn.cli import _format_angles
-
         angles = self.seeded_angles(n, seed)
         rows = _format_rows('"%.12g", ', n, iter(angles))
         assert "[" + rows[:-2] + "]" == json.dumps([fmt12(t) for t in angles])
