@@ -524,6 +524,8 @@ class RootBracket:
         one: 1 is a root of (x - 1)(2x - 5)).  An exact root at a midpoint m
         ends the refinement at [m - width/4, m + width/4].  Returns self."""
         width = Fraction(width)
+        if width <= 0:
+            raise ValueError("bisection width must be > 0")
         wn, wd = width.numerator, width.denominator
         lo, hi, shift = self.lo, self.hi, self._shift
         while (hi - lo) * wd > (wn * self._base) << shift:
@@ -540,19 +542,14 @@ class RootBracket:
         self.lo, self.hi, self._shift = lo, hi, shift
         return self
 
-    def powers(self, bits: int, k: int):
-        """Bounds [lo, hi] / 2^bits on root^k, root^(k+1), ... for a root
-        >= 0: the bracket is bisected to width 2^-bits and its ends taken as
-        P = bits dyadic mantissas, floored and ceiled; root^k is their
-        outward-rounded square and multiply power, and each later power is
-        one product rounded down and one rounded up."""
-        self.bisect(Fraction(1, 1 << bits))
-        den = self.den
-        x_lo, x_hi = (self.lo << bits) // den, -(-(self.hi << bits) // den)
-        lo, hi = _pow_rounded(x_lo, k, bits, up=False), _pow_rounded(x_hi, k, bits, up=True)
+    def mantissas(self, bits: int):
+        """(P, lo, hi) with lo / 2^P <= root <= hi / 2^P for P = bits, 2 bits, ...:
+        the bracket bisected to width 2^-P, its ends floored and ceiled."""
         while True:
-            yield lo, hi
-            lo, hi = lo * x_lo >> bits, -(-hi * x_hi >> bits)
+            self.bisect(Fraction(1, 1 << bits))
+            den = self.den
+            yield bits, (self.lo << bits) // den, -(-(self.hi << bits) // den)
+            bits *= 2
 
     def approx(self) -> RealApprox:
         den = self.den
@@ -580,8 +577,12 @@ def dominant_root_interval(p: IntPolynomial, width: Fraction = _LAMBDA_WIDTH) ->
 
 
 def refine_root(p: IntPolynomial, iv: RealApprox, width: Fraction) -> RealApprox:
-    if p(iv.lower) == 0:
+    """iv bisected to width; p must change sign on it or vanish at lower."""
+    s = _sign(p(iv.lower))
+    if s == 0:
         return RealApprox(iv.lower, iv.lower)
+    if s == _sign(p(iv.upper)):
+        raise ValueError("p has the same sign at both ends of the interval")
     return RootBracket(p, iv.lower, iv.upper).bisect(width).approx()
 
 
@@ -647,19 +648,17 @@ def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
 
 def _conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
     """conjugate_modulus_bound for a p already known to be squarefree."""
-    d = p.degree
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(40):
-        r = (lo + hi) / 2
-        a, b = r.numerator, r.denominator
-        scaled = IntPolynomial(
-            tuple(c * a**i * b ** (d - i) for i, c in enumerate(p.coefficients))
-        )
+    d, lo, hi = p.degree, 0, 1 << 40
+    while hi - lo > 1:
+        k = (lo + hi) >> 1
+        a, b = k // (k & -k), (1 << 40) // (k & -k)  # r = k / 2^40 in lowest terms
+        scaled = IntPolynomial(tuple(c * a**i * b ** (d - i)
+                                     for i, c in enumerate(p.coefficients)))
         if _schur_cohn(scaled).outside == 1:
-            hi = r
+            hi = k
         else:
-            lo = r
-    return hi
+            lo = k
+    return Fraction(hi, 1 << 40)
 
 
 # ---------------------------------------------------------------------------
@@ -684,20 +683,25 @@ def power_sums(p: IntPolynomial, n: int) -> int:
     return s[n]
 
 
-def _pow_rounded(x: int, n: int, bits: int, up: bool) -> int:
-    """n-th power of the fixed-point number x / 2^bits >= 0, kept at `bits`
-    fractional bits by square and multiply, each product rounded down (or
-    up, when `up`) so the result bounds the exact power from that side."""
-    def mul(a, b):
-        prod = a * b
-        return -(-prod >> bits) if up else prod >> bits
-
-    acc = x
-    for bit in bin(n)[3:]:
-        acc = mul(acc, acc)
+def _powers(x_lo: int, x_hi: int, bits: int, k: int):
+    """Bounds [lo, hi] / 2^bits on x^k, x^(k+1), ..., k >= 1, for x >= 0 in
+    [x_lo, x_hi] / 2^bits: x^k by square and multiply, then one product per
+    power, every product rounded down at lo and up at hi."""
+    lo, hi = x_lo, x_hi
+    for bit in bin(k)[3:]:
+        lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
         if bit == "1":
-            acc = mul(acc, x)
-    return acc
+            lo, hi = lo * x_lo >> bits, -(-hi * x_hi >> bits)
+    while True:
+        yield lo, hi
+        lo, hi = lo * x_lo >> bits, -(-hi * x_hi >> bits)
+
+
+def _round(lo: int, lo_den: int, hi: int, hi_den: int) -> float | None:
+    """The float that lo / lo_den and hi / hi_den, and so every real between
+    them, round to (int / int rounds correctly, ties to even); else None."""
+    f = lo / lo_den
+    return f if hi / hi_den == f else None
 
 
 def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
@@ -716,7 +720,8 @@ def pv_decay(p: IntPolynomial, n: int) -> RealApprox:
     lam = float(iv.upper)
     precision = int(2 * n * max(1.0, math.log2(lam))) + 64
     bits = precision + math.ceil(n * math.log2(lam + 1)) + 64
-    lo_n, hi_n = next(RootBracket(p, iv.lower, iv.upper).powers(bits, n))
+    _, x_lo, x_hi = next(RootBracket(p, iv.lower, iv.upper).mantissas(bits))
+    lo_n, hi_n = next(_powers(x_lo, x_hi, bits, n))
     if (hi_n - lo_n) << precision > 1 << bits:
         raise ArithmeticError("pv_decay interval wider than its precision")
     a, b = (s << bits) - hi_n, (s << bits) - lo_n  # 2^bits (s_n - lambda^n)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from itertools import count, islice
 
-from .algebraic import IntPolynomial, RootBracket, root_layout
+from .algebraic import IntPolynomial, RootBracket, _powers, _round, root_layout
 from .record import Record
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
@@ -285,29 +285,23 @@ def cusp_curve(p: IntPolynomial, big_k: int, precision_bits: int = 128) -> Angle
         raise ValueError("precision bits must be >= 0")
     if p.degree == 1:  # lambda = -p(0), so every lambda^k is whole
         return AngleList((0.0,) * big_k)
-    root = RootBracket(p, layout.lam.lower, layout.lam.upper)
-    out, bits = [], precision_bits + 64
-    while len(out) < big_k:
+    root, out = RootBracket(p, layout.lam.lower, layout.lam.upper), []
+    for bits, x_lo, x_hi in root.mantissas(precision_bits + 64):
         one = 1 << bits
         pi_lo, pi_hi = _two_pi(bits)
         # lambda^k lies in [lo, hi] / 2^bits, and 2*pi in [pi_lo, pi_hi] / 2^bits
-        for lo, hi in root.powers(bits, len(out) + 1):
+        for lo, hi in _powers(x_lo, x_hi, bits, len(out) + 1):
             frac_lo, frac_hi = lo & (one - 1), hi & (one - 1)
-            f = frac_lo / one
-            if (lo >> bits != hi >> bits or (hi - lo) << precision_bits > one
-                    or frac_hi / one != f):
+            f = _round(frac_lo, one, frac_hi, one)
+            if lo >> bits != hi >> bits or (hi - lo) << precision_bits > one or f is None:
                 break
-            if f >= _NORMAL_FRAC:
-                theta = (TWO_PI * f) % TWO_PI
-            else:
-                theta = frac_lo * pi_lo / (one << bits)
-                if frac_hi * pi_hi / (one << bits) != theta:
-                    break
+            theta = (TWO_PI * f) % TWO_PI if f >= _NORMAL_FRAC else _round(
+                frac_lo * pi_lo, one << bits, frac_hi * pi_hi, one << bits)
+            if theta is None:
+                break
             out.append(theta)
             if len(out) == big_k:
-                break
-        bits *= 2
-    return AngleList(tuple(out))
+                return AngleList(tuple(out))
 
 
 # ---------------------------------------------------------------------------

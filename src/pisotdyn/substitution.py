@@ -15,6 +15,7 @@ from .algebraic import (
     _conjugate_modulus_bound,
     _faddeev_leverrier,
     _irreducible,
+    _round,
     dominant_root_interval,
     is_primitive,
     root_layout,
@@ -283,22 +284,20 @@ def _letter_frequencies(column: list, p: IntPolynomial, lam: RealApprox | None) 
     Faddeev-LeVerrier B_k: at the simple root lambda (bracketed by lam, else
     as the largest real root of p's squarefree part) a positive multiple of
     the Perron vector.  Each entry is bounded at the P-bit ends, positive
-    terms at one end and negative at the other; P doubles until the
-    correctly rounded int/int quotients of the bounds give one float each."""
+    terms at one end and negative at the other, for P = 64, 128, ... until
+    the two quotients of each entry's bounds round to one float."""
     d = len(column)
     rows = [[(k, b) for k, b in enumerate(row) if b] for row in zip(*column)]
     lam = lam or dominant_root_interval(p.squarefree_part())
-    bracket, bits = RootBracket(p, lam.lower, lam.upper), 64
-    while True:
+    for bits, x_lo, x_hi in RootBracket(p, lam.lower, lam.upper).mantissas(64):
         # 2^(bits (d-1)) x^(d-1-k) at each end x / 2^bits, by k
-        ends = [[x ** (d - 1 - k) << bits * k for k in range(d)]
-                for x in next(bracket.powers(bits, 1))]
+        ends = [[x ** (d - 1 - k) << bits * k for k in range(d)] for x in (x_lo, x_hi)]
         low = [sum(b * ends[b < 0][k] for k, b in row) for row in rows]
         high = [sum(b * ends[b > 0][k] for k, b in row) for row in rows]
         s_low, s_high = sum(low), sum(high)
-        if s_low > 0 and [a / s_high for a in low] == [b / s_low for b in high]:
-            return tuple(b / s_low for b in high)
-        bits *= 2
+        if s_low > 0 and None not in (f := tuple(
+                _round(a, s_high, b, s_low) for a, b in zip(low, high))):
+            return f
 
 
 def classify_pisot(sigma: Substitution) -> PisotReport:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from pisotdyn.algebraic import (
     _has_rational_root,
     _moebius,
-    _pow_rounded,
+    _powers,
+    _round,
     _shift,
     _trim,
     FIBONACCI,
@@ -550,8 +552,7 @@ class TestDecay:
     def test_outward_rounded_powers_bound_the_exact_power(self, x, n, bits):
         x += 1 << bits  # a fixed-point number >= 1, as lambda's ends are
         exact = Fraction(x, 1 << bits) ** n
-        down = _pow_rounded(x, n, bits, up=False)
-        up = _pow_rounded(x, n, bits, up=True)
+        down, up = next(_powers(x, x, bits, n))
         assert Fraction(down, 1 << bits) <= exact <= Fraction(up, 1 << bits)
         # each side is off by under 1.5 n ulps per unit of the power
         assert up - down <= 3 * n * ((up >> bits) + 1)
@@ -563,7 +564,8 @@ class TestDecay:
         # the cusp kernel: lambda^k by square and multiply, then one rounded
         # product per power, on a bracket bisected to 2^-bits
         lam = root_layout(p).lam
-        powers = RootBracket(p, lam.lower, lam.upper).powers(bits, k)
+        _, x_lo, x_hi = next(RootBracket(p, lam.lower, lam.upper).mantissas(bits))
+        powers = _powers(x_lo, x_hi, bits, k)
         with mpmath.workprec(bits + 2 * k + 200):  # lambda < 4
             f = lambda x: mpmath.polyval(list(reversed(p.coefficients)), x)
             exact = mpmath.findroot(f, mpmath.mpf(float(lam.upper)))
@@ -711,6 +713,111 @@ class TestRootBracket:
         p = IntPolynomial(EXACT_ROOT)
         iv = refine_root(p, RealApprox(Fraction(2), Fraction(5, 2)), Fraction(1, 10**6))
         assert (iv.lower, iv.upper) == (2, 2)
+
+    def test_interval_without_a_sign_change_is_refused(self):
+        # golden is positive on [3, 4] and negative on [-1/2, 0]: no root
+        with pytest.raises(ValueError, match="same sign"):
+            refine_root(GOLDEN, RealApprox(Fraction(3), Fraction(4)), Fraction(1, 10**6))
+        with pytest.raises(ValueError, match="same sign"):
+            refine_root(GOLDEN, RealApprox(Fraction(-1, 2), Fraction(0)), Fraction(1, 10**6))
+
+    @pytest.mark.parametrize("coeffs", [(-1, -1, 1), (-1, -2, 1), (-1, -1, 0, 1),
+                                        (-1, -1, -1, 1), (-3, 2, 1, 1, -4, 1), EXACT_ROOT])
+    @pytest.mark.parametrize("bits", [1, 53, 64, 300])
+    def test_mantissas_bracket_the_root(self, coeffs, bits):
+        # the precision driver: P = bits, 2 bits, 4 bits, each pair of
+        # P-bit mantissas holding lambda and at most 2 apart
+        p = IntPolynomial(coeffs)
+        lam = dominant_root_interval(p)
+        drive = RootBracket(p, lam.lower, lam.upper).mantissas(bits)
+        with mpmath.workprec(4 * bits + 200):
+            f = lambda x: mpmath.polyval(list(reversed(coeffs)), x)
+            exact = mpmath.findroot(f, mpmath.mpf(lam.upper.numerator) / lam.upper.denominator)
+            for want, (got, lo, hi) in zip((bits, 2 * bits, 4 * bits), drive):
+                assert got == want
+                assert lo <= exact * mpmath.mpf(2) ** got <= hi and hi - lo <= 2
+
+
+def _float_bits(f: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", f))[0]
+
+
+def _rounds_to(q: Fraction, f: float) -> bool:
+    """Whether the real q >= 0 rounds to the float f, to nearest with ties
+    to the even mantissa: q against the exact midpoints between f and its
+    neighbours, in Fraction arithmetic."""
+    below = (Fraction(math.nextafter(f, -math.inf)) + Fraction(f)) / 2
+    above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    if below < q < above:
+        return True
+    return q in (below, above) and _float_bits(f) % 2 == 0
+
+
+# numerators and denominators over the normal and subnormal floats, with
+# dyadic and non-dyadic denominators
+_NUMERATORS = st.one_of(st.integers(0, 2**64), st.integers(0, 2**200))
+_DENOMINATORS = st.one_of(
+    st.integers(1, 10**40),
+    st.integers(0, 1200).map(lambda e: 1 << e),
+    st.tuples(st.integers(1, 99), st.integers(1000, 1200)).map(lambda t: t[0] << t[1]),
+)
+
+
+class TestRound:
+    @pytest.mark.parametrize("n, den, want", [
+        (1, 3, 1 / 3),
+        (2**53 + 1, 2**53, 1.0),  # a tie: to the even mantissa, down
+        (2**53 + 3, 2**53, 1 + 2**-51),  # a tie: to the even mantissa, up
+        (1, 2**1075, 0.0),  # half the least subnormal: a tie to 0
+        (3, 2**1076, 2**-1074),  # three quarters of it
+        (3, 2**1075, 2**-1073),  # 1.5 of it: a tie to the even 2
+        (10**400 + 1, 10**400, 1.0),
+    ])
+    def test_known_roundings(self, n, den, want):
+        assert _round(n, den, n, den) == want and _rounds_to(Fraction(n, den), want)
+
+    def test_ends_on_two_floats_give_none(self):
+        assert _round(1, 3, 1, 2) is None
+        assert _round(2**53 + 1, 2**53, 2**53 + 2, 2**53) is None
+        assert _round(0, 1, 1, 2**1074) is None  # 0 and the least subnormal
+        assert _round(1, 2**1075, 1, 2**1075 - 1) is None  # past the tie, up
+
+    @settings(max_examples=400, deadline=None)
+    @given(_NUMERATORS, _DENOMINATORS, st.integers(1, 2**70), st.integers(-3, 3))
+    def test_both_ends_round_to_the_returned_float(self, lo, lo_den, scale, step):
+        # hi / hi_den sits a few units of 1 / hi_den from lo / lo_den, so
+        # the two ends often share their float, and not always
+        hi, hi_den = max(0, lo * scale + step), lo_den * scale
+        f = _round(lo, lo_den, lo, lo_den)
+        assert _rounds_to(Fraction(lo, lo_den), f)
+        got = _round(lo, lo_den, hi, hi_den)
+        if _rounds_to(Fraction(hi, hi_den), f):
+            assert got == f
+        else:
+            assert got is None
+
+
+def fraction_conjugate_bound(p: IntPolynomial) -> Fraction:
+    """The Fraction bisection that the integer conjugate bound replaced:
+    the oracle it must match."""
+    d = p.degree
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(40):
+        r = (lo + hi) / 2
+        a, b = r.numerator, r.denominator
+        scaled = IntPolynomial(tuple(c * a**i * b ** (d - i) for i, c in enumerate(p.coefficients)))
+        if schur_cohn(scaled).outside == 1:
+            hi = r
+        else:
+            lo = r
+    return hi
+
+
+def test_conjugate_bound_matches_the_fraction_bisection():
+    pv = KNOWN_PV + [p for p in _random_monic(600, seed=21) if is_pv(p)]
+    assert len(pv) > 40
+    for p in pv:
+        assert conjugate_modulus_bound(p) == fraction_conjugate_bound(p), p
 
 
 class TestSturm:

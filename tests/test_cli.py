@@ -765,6 +765,27 @@ def test_analyze_of_the_256_letter_cycle(tmp_path):
         assert report["frequencies"] == [float(x / total) for x in v]
 
 
+NONPOSITIVE_WIDTHS = """
+from fractions import Fraction
+from pisotdyn.algebraic import IntPolynomial, RealApprox, dominant_root_interval, refine_root
+golden = IntPolynomial((-1, -1, 1))
+iv = RealApprox(Fraction(3, 2), Fraction(2))
+for call in (lambda: dominant_root_interval(golden, Fraction(0)),
+             lambda: refine_root(golden, iv, Fraction(-1))):
+    try:
+        call()
+    except ValueError as e:
+        print(e)
+"""
+
+
+def test_nonpositive_width_is_refused():
+    # bisecting to a width <= 0 never ends; it must raise instead
+    r = _limited([sys.executable, "-c", NONPOSITIVE_WIDTHS], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout.decode().splitlines() == ["bisection width must be > 0"] * 2
+
+
 # sha256 of `pv --poly` on x^512 - x - 1 (root counts 171 / 0 / 341), taken
 # while the Moebius map was a binomial triple loop and this call took a minute
 PV_512_DIGEST = "d3e92ef9b781221edeb644de1ac322d181b6fdc1e8c210f40ba09a524bb52712"

@@ -84,3 +84,16 @@ def test_console_script_is_the_module_entry():
                      and ast.unparse(node.test) == "__name__ == '__main__'"]
     calls = [node.func.id for node in ast.walk(main_block) if isinstance(node, ast.Call)]
     assert calls == [function]
+
+
+def test_precision_doubles_in_one_place():
+    # RootBracket.mantissas is the one precision driver: every reader of
+    # lambda's dyadic bounds loops over it instead of doubling P itself
+    hits = [path.name for path in SOURCES for _ in range(path.read_text().count("bits *= 2"))]
+    assert hits == ["algebraic.py"]
+    source = (ROOT / "src" / "pisotdyn" / "algebraic.py").read_text()
+    (bracket,) = [node for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and node.name == "RootBracket"]
+    (driver,) = [node for node in bracket.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "mantissas"]
+    assert "bits *= 2" in ast.get_source_segment(source, driver)
