@@ -564,6 +564,8 @@ def dominant_root_interval(p: IntPolynomial, width: Fraction = _LAMBDA_WIDTH) ->
     (1, cauchy_bound]: halved on Sturm counts until it holds that root
     alone (or [root, root] when a midpoint is it), then bisected."""
     chain, lo, hi = _sturm_chain(p.coefficients), Fraction(1), p.cauchy_bound()
+    if _pdeg(chain[-1]) > 0:  # the chain ends in gcd(p, p')
+        raise NotSquarefreeError("dominant_root_interval requires a squarefree polynomial")
     v_lo, v_hi = _var_at(chain, lo), _var_at(chain, hi)
     if v_lo == v_hi:
         raise ValueError("no real root in (1, cauchy bound]")
@@ -643,6 +645,9 @@ def conjugate_modulus_bound(p: IntPolynomial) -> Fraction:
     """
     if not p.is_squarefree():
         raise NotSquarefreeError("conjugate_modulus_bound requires a squarefree polynomial")
+    counts = _schur_cohn(p)
+    if (counts.outside, counts.on_circle) != (1, 0):
+        raise ValueError("conjugate_modulus_bound requires one root outside the closed unit disk")
     return _conjugate_modulus_bound(p)
 
 

@@ -145,12 +145,10 @@ def numeric_value(alphabet: Alphabet, prefix: Word) -> Fraction:
     if prefix.alphabet != alphabet:
         raise ValueError("word over a different alphabet")
     b = alphabet.size
-    acc = Fraction(0)
-    power = 1
-    for c in prefix.letters:
-        power *= b
-        acc += Fraction(c, power)
-    return acc
+    acc = 0
+    for c in prefix.letters:  # Horner: acc = the prefix read as a base-b integer
+        acc = acc * b + c
+    return Fraction(acc, b ** len(prefix))
 
 
 def representation(alphabet: Alphabet, q: Fraction, digits: int) -> Word:
@@ -166,21 +164,15 @@ def representation(alphabet: Alphabet, q: Fraction, digits: int) -> Word:
     if digits < 0:
         raise ValueError("digits must be >= 0")
     b = alphabet.size
-    out = []
-    rem = q
+    num, den = q.numerator, q.denominator  # the remainder is num / den
+    out = bytearray()
     for _ in range(digits):
-        rem *= b
-        digit = math.floor(rem)
-        rem -= digit
-        if rem == 0 and digit > 0:
+        digit, num = divmod(num * b, den)
+        if num == 0 and digit > 0:
             # terminating: borrow one so the tail becomes (b-1) repeated
-            digit -= 1
-            rem = Fraction(1)
-        if digit >= b:  # only possible when q == 1
-            digit = b - 1
-            rem = Fraction(1)
+            digit, num = digit - 1, den
         out.append(digit)
-    return Word(alphabet, tuple(out))
+    return Word(alphabet, out)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +234,21 @@ def cantor_function_value(spec: CantorSpec, prefix: Word) -> Fraction:
 def staircase_value(spec: CantorSpec, x: Fraction) -> Fraction:
     """Classical Cantor staircase at x in [0, 1] for the middle-excluded
     construction: read the first 64 base-|A| digits of x until the excluded
-    letter appears, map surviving digits into base |B|."""
+    letter appears, map surviving digits into base |B|.  x = 1 reads as the
+    one digit |A|, which maps to |B|, so the staircase ends at 1."""
     if not spec.interior:
         raise ValueError("excluded letter must be interior")
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
     base = spec.alphabet.size
-    nb = base - 1
-    acc = Fraction(0)
-    rem = x
+    num, den = x.numerator, x.denominator
+    acc = 0
     for k in range(1, 65):
-        rem *= base
-        digit = math.floor(rem)
-        rem -= digit
-        if digit >= base:
-            digit = base - 1
+        digit, num = divmod(num * base, den)
         # the A-digit's B-position; the excluded digit keeps its own value,
         # the plateau to which the removed interval maps
-        acc += Fraction(digit - (digit > spec.excluded), nb**k)
+        acc = acc * (base - 1) + digit - (digit > spec.excluded)
         if digit == spec.excluded:
             break
-    return acc
+    return Fraction(acc, (base - 1) ** k)

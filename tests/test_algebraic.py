@@ -696,6 +696,19 @@ class TestRootBracket:
         with pytest.raises(ValueError):
             dominant_root_interval(IntPolynomial((1, 1)))
 
+    @pytest.mark.parametrize("coeffs", [
+        (9, -6, 1),  # (x - 3)^2: an interval near 1 held no root
+        (-18, 21, -8, 1),  # (x - 3)^2 (x - 2): one near 2.3125 held none
+    ])
+    def test_repeated_root_is_refused(self, coeffs, monkeypatch):
+        import pisotdyn.algebraic as algebraic
+
+        chains, chain = [], algebraic._sturm_chain
+        monkeypatch.setattr(algebraic, "_sturm_chain", lambda *a: chains.append(a) or chain(*a))
+        with pytest.raises(NotSquarefreeError):
+            dominant_root_interval(IntPolynomial(coeffs))
+        assert len(chains) == 1
+
     def test_root_at_upper_end(self):
         p = IntPolynomial((5, -7, 2))
         iv = refine_root(p, RealApprox(Fraction(3, 2), Fraction(5, 2)), Fraction(1, 10**20))
@@ -1131,4 +1144,16 @@ class TestDecideOnce:
             conjugate_modulus_bound(IntPolynomial((1, 2, -1, -2, 1)))  # (z^2 - z - 1)^2
         assert moebius_calls == []
         conjugate_modulus_bound(PLASTIC)
-        assert len(moebius_calls) == 40
+        assert len(moebius_calls) == 41  # the layout check, then 40 bisection steps
+
+    @pytest.mark.parametrize("coeffs", [
+        (6, -5, 1),  # (z - 2)(z - 3): two roots outside
+        (1, 0, 1),  # z^2 + 1: both on the circle
+        (-1, 0, 1),  # z^2 - 1: both on the circle
+        (0, 1),  # z: none outside
+    ])
+    def test_conjugate_modulus_bound_checks_the_layout(self, coeffs, moebius_calls):
+        # the bisection read 1 here, or any crossing of the root count
+        with pytest.raises(ValueError, match="one root outside"):
+            conjugate_modulus_bound(IntPolynomial(coeffs))
+        assert len(moebius_calls) <= 1

@@ -786,6 +786,26 @@ def test_nonpositive_width_is_refused():
     assert r.stdout.decode().splitlines() == ["bisection width must be > 0"] * 2
 
 
+CANTOR_AT_SCALE = """
+from fractions import Fraction
+from pisotdyn.crystal import numeric_value, representation
+from pisotdyn.words import Alphabet, Word
+a7 = Alphabet(tuple("0123456"))
+v = numeric_value(a7, Word(a7, bytes(i % 7 for i in range(1, 10**5 + 1))))
+# the word ends in 5 and starts 123: its digits are v's base-7 digits
+print(v.denominator == 7**10**5, v.numerator % 7 == 5, int(v * 7**3) == 1 * 49 + 2 * 7 + 3)
+print(representation(a7, Fraction(1, 3), 10**6).letters == bytes([2]) * 10**6)
+"""
+
+
+def test_cantor_digits_at_scale():
+    # v_A of a 10^5-letter word and 10^6 digits of 1/3 in base 7, which
+    # took 34 s and 6 s while every digit was a Fraction step
+    r = _limited([sys.executable, "-c", CANTOR_AT_SCALE], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout.decode().splitlines() == ["True True True", "True"]
+
+
 # sha256 of `pv --poly` on x^512 - x - 1 (root counts 171 / 0 / 341), taken
 # while the Moebius map was a binomial triple loop and this call took a minute
 PV_512_DIGEST = "d3e92ef9b781221edeb644de1ac322d181b6fdc1e8c210f40ba09a524bb52712"

@@ -235,6 +235,91 @@ class TestRepresentation:
             assert q - Fraction(1, 3**digits) <= back <= q
 
 
+def fraction_numeric_value(alphabet, prefix):
+    """The Fraction loop that the integer Horner sum replaced: the oracle
+    it must match."""
+    b = alphabet.size
+    acc = Fraction(0)
+    power = 1
+    for c in prefix.letters:
+        power *= b
+        acc += Fraction(c, power)
+    return acc
+
+
+def fraction_representation(alphabet, q, digits):
+    """The Fraction loop that the integer divmod replaced, dead branch and
+    all: the oracle it must match."""
+    b = alphabet.size
+    out = []
+    rem = Fraction(q)
+    for _ in range(digits):
+        rem *= b
+        digit = math.floor(rem)
+        rem -= digit
+        if rem == 0 and digit > 0:
+            digit -= 1
+            rem = Fraction(1)
+        if digit >= b:
+            digit = b - 1
+            rem = Fraction(1)
+        out.append(digit)
+    return Word(alphabet, tuple(out))
+
+
+def fraction_staircase_value(spec, x):
+    """The Fraction loop that the integer divmod replaced, without its clip
+    of the digit |A| to |A| - 1, which made the staircase 1/2 at x = 1."""
+    base = spec.alphabet.size
+    acc = Fraction(0)
+    rem = Fraction(x)
+    for k in range(1, 65):
+        rem *= base
+        digit = math.floor(rem)
+        rem -= digit
+        acc += Fraction(digit - (digit > spec.excluded), (base - 1) ** k)
+        if digit == spec.excluded:
+            break
+    return acc
+
+
+def _sweep_points(rng, count):
+    """q = 0, q = 1 and seeded rationals in [0, 1] with denominators up to 500."""
+    yield Fraction(0)
+    yield Fraction(1)
+    for _ in range(count):
+        den = rng.randint(1, 500)
+        yield Fraction(rng.randint(0, den), den)
+
+
+class TestExactLoopsMatchTheFractionOracle:
+    def test_numeric_value(self):
+        rng = random.Random(22)
+        for size in range(2, 10):
+            alphabet = Alphabet(tuple(str(i) for i in range(size)))
+            for length in range(1, 41):
+                word = Word(alphabet, bytes(rng.randrange(size) for _ in range(length)))
+                assert numeric_value(alphabet, word) == fraction_numeric_value(alphabet, word)
+
+    def test_representation(self):
+        rng = random.Random(23)
+        for size in range(2, 10):
+            alphabet = Alphabet(tuple(str(i) for i in range(size)))
+            for q in _sweep_points(rng, 200):
+                digits = rng.randint(0, 40)
+                want = fraction_representation(alphabet, q, digits)
+                assert representation(alphabet, q, digits) == want, (size, q, digits)
+
+    def test_staircase_value(self):
+        rng = random.Random(24)
+        for size in range(3, 10):
+            alphabet = Alphabet(tuple(str(i) for i in range(size)))
+            for excluded in range(1, size - 1):
+                spec = CantorSpec(alphabet, excluded)
+                for x in _sweep_points(rng, 100):
+                    assert staircase_value(spec, x) == fraction_staircase_value(spec, x), (spec, x)
+
+
 class TestAlphabetTransition:
     # a prefix over one alphabet re-expanded over another: r_B(v_A(prefix))
 
@@ -302,6 +387,19 @@ class TestCantorFunction:
         assert staircase_value(MIDDLE_THIRD, Fraction(0)) == 0
         assert staircase_value(MIDDLE_THIRD, Fraction(1, 3)) == Fraction(1, 2)
         assert staircase_value(MIDDLE_THIRD, Fraction(2, 9)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("size, excluded", [(3, 1), (4, 1), (4, 2), (5, 2), (7, 3), (10, 8)])
+    def test_staircase_ends_at_one(self, size, excluded):
+        spec = CantorSpec(Alphabet(tuple(str(i) for i in range(size))), excluded)
+        assert staircase_value(spec, Fraction(1)) == 1
+
+    @pytest.mark.parametrize("size, excluded", [(3, 1), (4, 1), (4, 2), (5, 3)])
+    def test_staircase_is_nondecreasing(self, size, excluded):
+        spec = CantorSpec(Alphabet(tuple(str(i) for i in range(size))), excluded)
+        grid = sorted({Fraction(num, den) for den in range(1, 61) for num in range(den + 1)})
+        values = [staircase_value(spec, x) for x in grid]
+        assert values[0] == 0 and values[-1] == 1
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_interior_hypothesis(self):
         spec = CantorSpec(TERNARY, 0)

@@ -97,3 +97,15 @@ def test_precision_doubles_in_one_place():
     (driver,) = [node for node in bracket.body
                  if isinstance(node, ast.FunctionDef) and node.name == "mantissas"]
     assert "bits *= 2" in ast.get_source_segment(source, driver)
+
+
+def test_cantor_digit_loops_are_integer():
+    # crystal's digit loops carry an integer over a known denominator and
+    # build one Fraction at the return: no loop names Fraction or floors
+    source = (ROOT / "src" / "pisotdyn" / "crystal.py").read_text()
+    loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.For, ast.While))]
+    assert loops
+    hits = [loop.lineno for loop in loops for node in ast.walk(loop)
+            if isinstance(node, ast.Name) and node.id == "Fraction"
+            or isinstance(node, ast.Attribute) and ast.unparse(node) == "math.floor"]
+    assert not hits, f"crystal.py: Fraction or math.floor in the loops on lines {hits}"
