@@ -224,7 +224,17 @@ def cantor(args):
         v = crystal.numeric_value(ab, ab.word(args.raw_word))
     else:
         v = crystal.cantor_function_value(spec, ab.word(args.raw_word))
-    return f"{v.numerator}/{v.denominator}"
+    # from Python 3.10.7 on, an int past 4,300 digits prints only with the
+    # limit lifted (set to 0), here for this one print; earlier versions
+    # have no limit, read as int() == 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from .record import Record
 from .substitution import Substitution, classify_pisot, fixed_point_prefix
 
 TWO_PI = 2.0 * math.pi
-# the distance at which gap_statistics clusters gaps and diagonal_polygon
-# identifies points, radii and side lengths
+# the distance at which gap_statistics clusters gaps
 _TOLERANCE = 1e-9
 # below this, f or 2*pi*f may be a subnormal float, short of 53 bits
 _NORMAL_FRAC = 2.0**-1021
@@ -164,78 +163,36 @@ def gap_statistics(a: AngleList) -> GapStats:
 # ---------------------------------------------------------------------------
 # diagonal self-similarity
 
-def _seg_intersection(p1, p2, p3, p4):
-    """Proper intersection point of open segments p1p2 and p3p4, or None."""
-    eps = 1e-12
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if abs(den) < eps:
-        return None
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
-    u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / den
-    if eps < t < 1 - eps and eps < u < 1 - eps:
-        return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-    return None
-
-
 def diagonal_polygon(n: int):
-    """Diagonal intersections of the regular n-gon on the unit circle.
+    """Innermost ring of diagonal intersections of the regular n-gon with
+    vertex k at angle 2*pi*k/n on the unit circle.
 
-    Returns (inner_ring_vertices, self_similar) where self_similar is
-    (scaling, rotation) when the innermost intersection ring is itself a
-    regular n-gon, else None.  The inner ring is the set of intersection
-    points at minimal distance from the origin (within 1e-9); the
-    reported rotation is the vertex-matching representative nearest pi.
+    Returns (ring, self_similar): the intersection points nearest the
+    origin, in increasing angle, and self_similar = (scaling, rotation)
+    when they form a regular n-gon, else None.
+
+    A diagonal joining vertices s apart lies at distance cos(pi*s/n) from
+    the origin.  For even n the n/2 diameters meet at the origin, so the
+    ring is the origin alone.  For odd n let x = pi/(2n): the n longest
+    diagonals lie at distance sin x and bound the star polygon's inner
+    regular n-gon, of circumradius R = sin x / cos 2x, with vertices at the
+    angles (2k + h)*pi/n, h = ((n + 1)/2) mod 2.  Every other diagonal lies
+    at distance at least sin 3x > R, so none reaches that n-gon, and the
+    ring is its n vertices.  The scaling is R, and the rotation is the
+    vertex angle nearest pi, which maps outer vertex 0 onto the ring: pi
+    itself when n = 1 (mod 4); when n = 3 (mod 4), (n - 1)*pi/n and
+    (n + 1)*pi/n are equally near, and the rotation is (n - 1)*pi/n.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
-    verts = [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n)) for k in range(n)]
-    diagonals = [
-        (verts[i], verts[j])
-        for i in range(n)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
-    pts = []
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            p = _seg_intersection(*diagonals[i], *diagonals[j])
-            if p is not None:
-                pts.append(p)
-    # dedupe
-    uniq = []
-    for p in pts:
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) < _TOLERANCE for q in uniq):
-            uniq.append(p)
-    radii = [math.hypot(x, y) for x, y in uniq]
-    r_min = min(radii)
-    ring = [p for p, r in zip(uniq, radii) if r - r_min <= _TOLERANCE]
-    ring.sort(key=lambda p: math.atan2(p[1], p[0]) % TWO_PI)
-
-    self_similar = None
-    if len(ring) == n and r_min > _TOLERANCE:
-        rads = [math.hypot(x, y) for x, y in ring]
-        sides = [
-            math.hypot(
-                ring[i][0] - ring[(i + 1) % n][0], ring[i][1] - ring[(i + 1) % n][1]
-            )
-            for i in range(n)
-        ]
-        regular = (max(rads) - min(rads) <= _TOLERANCE * max(1.0, max(rads))) and (
-            max(sides) - min(sides) <= _TOLERANCE * max(1.0, max(sides))
-        )
-        if regular:
-            scaling = sum(rads) / n
-            ring_angles = sorted(math.atan2(y, x) % TWO_PI for x, y in ring)
-            base = ring_angles[0]  # outer vertex k=0 sits at angle 0
-            # candidate rotations map vertex angle 0 onto some ring vertex
-            candidates = [(base + TWO_PI * k / n) % TWO_PI for k in range(n)]
-            rotation = min(candidates, key=lambda t: abs(t - math.pi))
-            self_similar = (scaling, rotation)
-    return ring, self_similar
+    if n % 2 == 0:
+        return [(0.0, 0.0)], None
+    x = math.pi / (2 * n)
+    r = math.sin(x) / math.cos(2 * x)
+    h = (n + 1) // 2 % 2
+    angles = [(2 * k + h) * math.pi / n for k in range(n)]
+    return [(r * math.cos(t), r * math.sin(t)) for t in angles], (
+        r, math.pi if h else (n - 1) * math.pi / n)
 
 
 # ---------------------------------------------------------------------------

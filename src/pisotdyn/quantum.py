@@ -94,6 +94,8 @@ def second_kind_limit(m: IntMatrix, start: int, tol: float = 1e-13):
     """
     if not is_primitive(m):
         raise ValueError("second_kind_limit requires a primitive matrix")
+    if not 0 <= start < m.dimension:
+        raise ValueError("letter index out of range")
     before = last = tuple(float(i == start) for i in range(m.dimension))
     for its, v in zip(range(1, 1001), normalized_iterates(m, last)):
         if max(abs(a - b) for a, b in zip(v, last)) < tol:

@@ -143,6 +143,7 @@ def letter_counts(sigma: Substitution, letter: int, k: int) -> tuple:
     works far past the point where the word could be materialized."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    Word(sigma.alphabet, (letter,))  # an out-of-range letter raises
     m = incidence_matrix(sigma)
     v = tuple(int(i == letter) for i in range(sigma.alphabet.size))
     for _ in range(k):
@@ -176,6 +177,7 @@ def fixed_point_prefix(sigma: Substitution, letter: int, length: int) -> PrefixS
     Requires sigma(letter) to start with letter and have length >= 2;
     otherwise raises FixedPointError suggesting a power that works.
     """
+    Word(sigma.alphabet, (letter,))  # an out-of-range letter raises
     power = _fixed_point_power(sigma, letter)
     if power != 1:
         raise FixedPointError(

@@ -823,3 +823,56 @@ def test_out_of_memory_is_an_error_line(fib_path):
     # sigma^100(0) has 5.7 * 10^20 letters
     r = _limited(ENTRY + ["subst", fib_path, "iterate", "-k", "100"], seconds=30)
     assert (r.returncode, r.stdout, r.stderr) == (1, b"", b"Error: out of memory\n")
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift Python's int-to-str digit limit, where there is one."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_long_cantor_words_print_exactly():
+    # p/q past Python's 4,300-digit limit on printing an int, which ended
+    # these calls in `Error: Exceeds the limit (4300 digits) ...`
+    base7 = "".join(str(i * i % 7) for i in range(6000))
+    no_ones = base7.replace("1", "4")  # the letter --excluded drops by default
+    base10 = "".join(str(i * 7 % 10) for i in range(1, 10**5 + 1))
+    with _any_int_length():
+        cases = [
+            (["value", "--alphabet-size", "7", "--word", base7],
+             Fraction(int(base7, 7), 7**6000)),
+            # the letters of B = A - {1} are 0, 2, ..., 6 read as 0, 1, ..., 5
+            (["function", "--alphabet-size", "7", "--word", no_ones],
+             Fraction(int(no_ones.translate(str.maketrans("023456", "012345")), 6) + 1, 6**6000)),
+            (["value", "--alphabet-size", "10", "--word", base10],
+             Fraction(int(base10), 10**10**5)),
+        ]
+        for argv, want in cases:
+            r = _limited(ENTRY + ["cantor", *argv], seconds=10)
+            assert (r.returncode, r.stderr) == (0, b"")
+            assert r.stdout.decode() == f"{want.numerator}/{want.denominator}\n"
+
+
+DIAGONALS_AT_SCALE = """
+import math
+from pisotdyn.geometry import diagonal_polygon
+n = 100_001
+ring, (r, _) = diagonal_polygon(n)
+print(len(ring), max(abs(math.hypot(x, y) - r) for x, y in ring) < 1e-12)
+print(diagonal_polygon(100_000) == ([(0.0, 0.0)], None))
+"""
+
+
+def test_diagonal_polygon_at_scale():
+    # the ring of the 100,001-gon, out of reach of a scan over its 10^19
+    # pairs of diagonals
+    r = _limited([sys.executable, "-c", DIAGONALS_AT_SCALE], seconds=10)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout.decode().splitlines() == ["100001 True", "True"]

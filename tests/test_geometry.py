@@ -11,6 +11,7 @@ import pytest
 from pisotdyn.algebraic import IntPolynomial
 from pisotdyn.cli import _format_angles
 from pisotdyn.geometry import (
+    _TOLERANCE,
     _format_rows,
     _two_pi,
     TWO_PI,
@@ -180,6 +181,84 @@ class TestAngleList:
         assert AngleList(edge).angles == edge
 
 
+# the brute-force scan that diagonal_polygon replaced, kept as its oracle:
+# every pair of diagonals intersected in floats, the points merged within
+# 1e-9 and the innermost ring tested for regularity
+
+def _seg_intersection(p1, p2, p3, p4):
+    """Proper intersection point of open segments p1p2 and p3p4, or None."""
+    eps = 1e-12
+    x1, y1 = p1
+    x2, y2 = p2
+    x3, y3 = p3
+    x4, y4 = p4
+    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    if abs(den) < eps:
+        return None
+    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / den
+    if eps < t < 1 - eps and eps < u < 1 - eps:
+        return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+    return None
+
+
+def scan_diagonal_polygon(n: int):
+    """Diagonal intersections of the regular n-gon on the unit circle.
+
+    Returns (inner_ring_vertices, self_similar) where self_similar is
+    (scaling, rotation) when the innermost intersection ring is itself a
+    regular n-gon, else None.  The inner ring is the set of intersection
+    points at minimal distance from the origin (within 1e-9); the
+    reported rotation is the vertex-matching representative nearest pi.
+    """
+    if n < 5:
+        raise ValueError("n must be >= 5")
+    verts = [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n)) for k in range(n)]
+    diagonals = [
+        (verts[i], verts[j])
+        for i in range(n)
+        for j in range(i + 2, n)
+        if not (i == 0 and j == n - 1)
+    ]
+    pts = []
+    for i in range(len(diagonals)):
+        for j in range(i + 1, len(diagonals)):
+            p = _seg_intersection(*diagonals[i], *diagonals[j])
+            if p is not None:
+                pts.append(p)
+    # dedupe
+    uniq = []
+    for p in pts:
+        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) < _TOLERANCE for q in uniq):
+            uniq.append(p)
+    radii = [math.hypot(x, y) for x, y in uniq]
+    r_min = min(radii)
+    ring = [p for p, r in zip(uniq, radii) if r - r_min <= _TOLERANCE]
+    ring.sort(key=lambda p: math.atan2(p[1], p[0]) % TWO_PI)
+
+    self_similar = None
+    if len(ring) == n and r_min > _TOLERANCE:
+        rads = [math.hypot(x, y) for x, y in ring]
+        sides = [
+            math.hypot(
+                ring[i][0] - ring[(i + 1) % n][0], ring[i][1] - ring[(i + 1) % n][1]
+            )
+            for i in range(n)
+        ]
+        regular = (max(rads) - min(rads) <= _TOLERANCE * max(1.0, max(rads))) and (
+            max(sides) - min(sides) <= _TOLERANCE * max(1.0, max(sides))
+        )
+        if regular:
+            scaling = sum(rads) / n
+            ring_angles = sorted(math.atan2(y, x) % TWO_PI for x, y in ring)
+            base = ring_angles[0]  # outer vertex k=0 sits at angle 0
+            # candidate rotations map vertex angle 0 onto some ring vertex
+            candidates = [(base + TWO_PI * k / n) % TWO_PI for k in range(n)]
+            rotation = min(candidates, key=lambda t: abs(t - math.pi))
+            self_similar = (scaling, rotation)
+    return ring, self_similar
+
+
 class TestDiagonalPolygon:
     def test_pentagon(self):
         ring, ss = diagonal_polygon(5)
@@ -197,6 +276,35 @@ class TestDiagonalPolygon:
     def test_minimum(self):
         with pytest.raises(ValueError):
             diagonal_polygon(4)
+
+
+class TestDiagonalPolygonMatchesTheScan:
+    @pytest.mark.parametrize("n", range(5, 18, 2))
+    def test_odd_n(self, n):
+        ring, (scaling, rotation) = diagonal_polygon(n)
+        want, (want_scaling, want_rotation) = scan_diagonal_polygon(n)
+        assert len(ring) == len(want) == n
+        for x, y in ring:
+            assert min(math.hypot(x - u, y - v) for u, v in want) < 1e-12
+        assert abs(scaling - want_scaling) < 1e-12
+        assert abs(abs(rotation - math.pi) - abs(want_rotation - math.pi)) < 1e-12
+        # the tie at n = 3 (mod 4) goes to the smaller angle
+        assert rotation == (math.pi if n % 4 == 1 else (n - 1) * math.pi / n)
+
+    @pytest.mark.parametrize("n", range(6, 18, 2))
+    def test_even_n_is_the_centre(self, n):
+        assert diagonal_polygon(n) == ([(0.0, 0.0)], None)
+        ring, self_similar = scan_diagonal_polygon(n)
+        assert self_similar is None
+        assert [math.hypot(x, y) < 1e-12 for x, y in ring] == [True]
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 101, 103])
+    def test_ring_is_in_increasing_angle(self, n):
+        ring, _ = diagonal_polygon(n)
+        angles = [math.atan2(y, x) % TWO_PI for x, y in ring]
+        assert angles == sorted(angles)
+        # for n = 3 (mod 4) the first vertex lies on the positive x-axis
+        assert (angles[0] == 0.0) == (n % 4 == 3)
 
 
 class TestCuspCurve:

@@ -192,6 +192,12 @@ class TestSecondKind:
         with pytest.raises(ValueError):
             second_kind_limit(IntMatrix(((2, 0), (0, 2))), 0)
 
+    @pytest.mark.parametrize("start", [2, -1, 5])
+    def test_start_outside_the_alphabet_is_refused(self, start):
+        # 2 and -1 divided by a zero norm
+        with pytest.raises(ValueError, match="letter index out of range"):
+            second_kind_limit(incidence_matrix(FIBONACCI_SUBST), start)
+
     def test_residual_decay(self):
         m = incidence_matrix(FIBONACCI_SUBST)
         v = [1.0, 0.0]

@@ -77,6 +77,22 @@ class TestLengths:
         assert iterate_length(PELL_SUBST, 0, 25) == recurrence_term(PELL, 26)
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda: iterate_length(FIBONACCI_SUBST, 5, 3),
+    lambda: iterate_length(FIBONACCI_SUBST, -1, 3),
+    lambda: letter_counts(FIBONACCI_SUBST, 2, 0),
+    lambda: fixed_point_prefix(FIBONACCI_SUBST, 5, 10),
+    lambda: fixed_point_prefix(FIBONACCI_SUBST, -1, 10),
+    lambda: language_prefix(FIBONACCI_SUBST, 3, 5, 100),
+    lambda: iterate(FIBONACCI_SUBST, 2, 3),
+], ids=["length-5", "length-neg", "counts-k0", "fixed-5", "fixed-neg", "language-3", "iterate-2"])
+def test_letter_outside_the_alphabet_is_refused(call):
+    # each returned 0 or (0, 0), or raised IndexError, or read letter -1 as
+    # the last letter
+    with pytest.raises(ValueError, match="letter index out of range"):
+        call()
+
 class TestIncidenceMatrix:
     def test_named_matrices(self):
         assert incidence_matrix(FIBONACCI_SUBST).entries == ((1, 1), (1, 0))

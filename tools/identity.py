@@ -2,8 +2,9 @@
 
     python tools/identity.py --parent REV --seeds 1-10
 
-Checks REV out in a temporary git worktree, builds the calls of every
-workload in perfbench/workloads.py at each seed, and runs each call as
+Extracts REV with `git archive` into a temporary directory, so the
+repository gains no worktree, builds the calls of every workload in
+perfbench/workloads.py at each seed, and runs each call as
 `python -m pisotdyn.cli` on this tree and on REV, with stdout buffered and
 bytecode cached as an installed script has them.  Prints every call whose
 exit code, stdout or stderr differs, with the keys whose values differ when
@@ -70,38 +71,37 @@ def main(argv=None) -> int:
     calls = mismatched = 0
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.parent], check=True)
-        try:
-            for name in sorted(workloads.WORKLOADS):
-                times = []  # (seconds on REV, seconds here) per call
-                for seed in args.seeds:
-                    work = Path(tmp) / f"{name}-{seed}"
-                    work.mkdir()
-                    specs, pass_calls = workloads.build(name, seed)
-                    for stem, rules in specs.items():
-                        spec = {"alphabet": sorted(rules), "rules": rules}
-                        (work / f"{stem}.json").write_text(json.dumps(spec))
-                    for call in pass_calls:
-                        (want, want_t), (got, got_t) = (run(parent, call.argv, work),
-                                                        run(ROOT, call.argv, work))
-                        calls += 1
-                        times.append((want_t, got_t))
-                        if got != want:
-                            mismatched += 1
-                            fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), want, got)
-                                      if a != b]
-                            keys = changed_keys(want[1], got[1])
-                            if keys:
-                                fields[fields.index("stdout")] += f" (keys: {', '.join(keys)})"
-                            print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
-                                  f"(exit {want[0]} -> {got[0]})")
-                want_s, got_s = map(sum, zip(*times))
-                faster = sum(g < w for w, g in times)
-                print(f"{name}: calls took {want_s:.2f} s on {args.parent} and {got_s:.2f} s here; "
-                      f"{faster} of {len(times)} faster here (coarse: one run of each)")
-        finally:
-            subprocess.run(git + ["remove", "--force", str(parent)], check=True)
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        for name in sorted(workloads.WORKLOADS):
+            times = []  # (seconds on REV, seconds here) per call
+            for seed in args.seeds:
+                work = Path(tmp) / f"{name}-{seed}"
+                work.mkdir()
+                specs, pass_calls = workloads.build(name, seed)
+                for stem, rules in specs.items():
+                    spec = {"alphabet": sorted(rules), "rules": rules}
+                    (work / f"{stem}.json").write_text(json.dumps(spec))
+                for call in pass_calls:
+                    (want, want_t), (got, got_t) = (run(parent, call.argv, work),
+                                                    run(ROOT, call.argv, work))
+                    calls += 1
+                    times.append((want_t, got_t))
+                    if got != want:
+                        mismatched += 1
+                        fields = [f for f, a, b in zip(("exit code", "stdout", "stderr"), want, got)
+                                  if a != b]
+                        keys = changed_keys(want[1], got[1])
+                        if keys:
+                            fields[fields.index("stdout")] += f" (keys: {', '.join(keys)})"
+                        print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
+                              f"(exit {want[0]} -> {got[0]})")
+            want_s, got_s = map(sum, zip(*times))
+            faster = sum(g < w for w, g in times)
+            print(f"{name}: calls took {want_s:.2f} s on {args.parent} and {got_s:.2f} s here; "
+                  f"{faster} of {len(times)} faster here (coarse: one run of each)")
     print(f"{calls} calls, {mismatched} mismatched")
     return 1 if mismatched else 0
 
