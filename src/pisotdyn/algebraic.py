@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import cycle
 from operator import mul
 
 from .record import Record
@@ -295,7 +296,8 @@ def normalized_iterates(m: IntMatrix, v):
 
     The float map is deterministic, so once v_k equals v_(k-2) the iterates
     alternate between v_(k-1) and v_k for ever (a fixed point is the case
-    v_(k-1) = v_k): the generator stops after yielding that v_k.
+    v_(k-1) = v_k): from there the generator repeats those two without
+    computing another product, and it never ends.
     """
     before, last = None, tuple(v)
     while True:
@@ -304,7 +306,7 @@ def normalized_iterates(m: IntMatrix, v):
         w = tuple(x / s for x in w)
         yield w
         if w == before:
-            return
+            yield from cycle((last, w))
         before, last = last, w
 
 

@@ -98,7 +98,7 @@ def _to_stderr(text: str):
 def subst(args):
     """Show, iterate or analyze a substitution spec file."""
     sigma = _load_subst(args.spec_path)
-    a = sigma.alphabet.lex(args.letter) if args.letter else 0
+    a = sigma.alphabet.lex(args.letter) if args.letter is not None else 0
     if args.action == "show":
         return sigma.to_json()
     if args.action == "iterate":

@@ -16,7 +16,8 @@ TWO_PI = 2.0 * math.pi
 _TOLERANCE = 1e-9
 # below this, f or 2*pi*f may be a subnormal float, short of 53 bits
 _NORMAL_FRAC = 2.0**-1021
-# rows per `%` operation in AngleList.to_csv and the CLI's JSON angle array
+# rows per `%` operation in AngleList.to_csv, AngleList.to_svg and the CLI's JSON
+# angle array
 _CHUNK = 2048
 
 
@@ -45,29 +46,21 @@ class AngleList(Record):
         """Self-contained 400 x 400 SVG: unit circle plus petal segments
         (center to each point) or a cusp polyline through consecutive
         points."""
-        c, r = 200.0, 180.0
-        stroke = 'stroke="#1a6baf" stroke-width="1.0"/>'
-
-        def xy(t):
-            return (c + r * math.cos(t), c - r * math.sin(t))
-
-        parts = [
-            '<svg xmlns="http://www.w3.org/2000/svg" width="400" '
-            'height="400" viewBox="0 0 400 400">',
-            f'<circle cx="{c}" cy="{c}" r="{r}" fill="none" stroke="#888" '
-            'stroke-width="1.0"/>',
-        ]
+        if mode not in ("petals", "cusp"):
+            raise ValueError(f"unknown SVG mode {mode!r}: use 'petals' or 'cusp'")
+        a, stroke = self.angles, 'stroke="#1a6baf" stroke-width="1.0"/>\n'
+        # the circle of radius 180 about (200, 200), y pointing down
+        x = (200.0 + 180.0 * math.cos(t) for t in a)
+        y = (200.0 - 180.0 * math.sin(t) for t in a)
         if mode == "cusp":
-            pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(xy, self.angles))
-            parts.append(f'<polyline points="{pts}" fill="none" {stroke}')
+            points = _format_rows("%.3f,%.3f ", len(a), x, y)[:-1]
+            body = f'<polyline points="{points}" fill="none" {stroke}'
         else:
-            for t in self.angles:
-                x, y = xy(t)
-                parts.append(
-                    f'<line x1="{c}" y1="{c}" x2="{x:.3f}" y2="{y:.3f}" {stroke}'
-                )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+            body = _format_rows(f'<line x1="200.0" y1="200.0" x2="%.3f" y2="%.3f" {stroke}',
+                                len(a), x, y)
+        return ('<svg xmlns="http://www.w3.org/2000/svg" width="400" height="400" '
+                'viewBox="0 0 400 400">\n<circle cx="200.0" cy="200.0" r="180.0" fill="none" '
+                f'stroke="#888" stroke-width="1.0"/>\n{body}</svg>\n')
 
 
 def fmt12(x: float) -> str:
@@ -276,9 +269,6 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
     report = classify_pisot(sigma)
     if not (report.primitive and report.pisot_loose):
         raise ValueError("substitution must be primitive of Pisot type")
-    if not (0.0 <= beta0 < TWO_PI and 0.0 <= beta1 < TWO_PI):
-        beta0 %= TWO_PI
-        beta1 %= TWO_PI
     digits = fixed_point_prefix(sigma, 0, n_points).prefix(n_points)
     return _driven_angles(digits.letters, beta0, beta1)
 
@@ -286,7 +276,9 @@ def substitution_spacing(sigma: Substitution, beta0: float, beta1: float,
 def _driven_angles(letters, beta0: float, beta1: float) -> AngleList:
     """The walk round the circle from theta_0 = 0 that the 0/1 `letters`
     drive: theta_k = theta_(k-1) + beta0 (mod 2*pi) when the k-th letter
-    is 0, + beta1 when it is 1."""
+    is 0, + beta1 when it is 1.  The betas are reduced mod 2*pi first: the
+    sums are then nonnegative, so each theta_k lies in [0, 2*pi)."""
+    beta0, beta1 = beta0 % TWO_PI, beta1 % TWO_PI
     thetas = []
     theta = 0.0
     for d in letters:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from itertools import cycle, islice, product
+from itertools import islice, product
 
 from .algebraic import IntMatrix, is_primitive, normalized_iterates
 from .geometry import AngleList, _driven_angles
@@ -96,15 +96,11 @@ def second_kind_limit(m: IntMatrix, start: int, tol: float = 1e-13):
         raise ValueError("second_kind_limit requires a primitive matrix")
     if not 0 <= start < m.dimension:
         raise ValueError("letter index out of range")
-    before = last = tuple(float(i == start) for i in range(m.dimension))
+    last = tuple(float(i == start) for i in range(m.dimension))
     for its, v in zip(range(1, 1001), normalized_iterates(m, last)):
         if max(abs(a - b) for a, b in zip(v, last)) < tol:
             break
-        before, last = last, v
-    else:
-        # after a stop before step 1000 the iterates alternate between
-        # before and last, never within tol; step 1000 lands on one of them
-        its, v = 1000, before if (1000 - its) % 2 else last
+        last = v
     return v, tuple(x * x for x in v), its
 
 
@@ -143,10 +139,7 @@ def quantum_spacing_simulate(sigma: Substitution, beta0: float, beta1: float,
         raise ValueError("substitution must be primitive of Pisot type")
     draw = random.Random(seed).random
     iterates = normalized_iterates(incidence_matrix(sigma), (1.0, 0.0))
-    p0s = [v[0] * v[0] for v in islice(iterates, n_steps)]
-    # a stop before n_steps: the iterates alternate between the last two
-    p0s += islice(cycle(p0s[-2:]), n_steps - len(p0s))
-    outcomes = tuple(0 if draw() < p0 else 1 for p0 in p0s)
+    outcomes = tuple(0 if draw() < x * x else 1 for x, _ in islice(iterates, n_steps))
     manifest = {
         "schema": 1,
         "generator": "random.Random (Mersenne Twister)",

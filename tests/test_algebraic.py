@@ -175,8 +175,8 @@ def _l2(w):
 
 class TestPowerIteration:
     """second_kind_limit, the one tolerance-stopped power iteration, reads
-    the stopping generator normalized_iterates; it must end where taking
-    every step would."""
+    the generator normalized_iterates; it must end where taking every step
+    would."""
 
     @staticmethod
     def assert_matches_the_stepwise_loop(m, start, tol):

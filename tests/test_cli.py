@@ -300,6 +300,7 @@ MALFORMED = [
     (["cantor", "represent", "--q", "1/3", "--digits", "-1"], 1),
     (["spacing", "cusps", "--poly", "-1,-1,1", "-n", "3", "--precision-bits", "-1"], 1),
     (["subst", "{fib}", "fixpoint", "--letter", "7"], 1),
+    (["subst", "{fib}", "iterate", "--letter", "", "-k", "3"], 1),
     (["entropy", "--word", "0121"], 1),
     (["cantor", "value", "--word", "9"], 1),
     (["pv", "--poly", "1,2"], 1),

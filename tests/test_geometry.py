@@ -34,6 +34,33 @@ PLASTIC = IntPolynomial((-1, -1, 0, 1))
 TRIBONACCI = IntPolynomial((-1, -1, -1, 1))
 
 
+def svg_per_angle(self, mode: str = "petals") -> str:
+    """The reference for AngleList.to_svg: one f-string per angle."""
+    c, r = 200.0, 180.0
+    stroke = 'stroke="#1a6baf" stroke-width="1.0"/>'
+
+    def xy(t):
+        return (c + r * math.cos(t), c - r * math.sin(t))
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="400" '
+        'height="400" viewBox="0 0 400 400">',
+        f'<circle cx="{c}" cy="{c}" r="{r}" fill="none" stroke="#888" '
+        'stroke-width="1.0"/>',
+    ]
+    if mode == "cusp":
+        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(xy, self.angles))
+        parts.append(f'<polyline points="{pts}" fill="none" {stroke}')
+    else:
+        for t in self.angles:
+            x, y = xy(t)
+            parts.append(
+                f'<line x1="{c}" y1="{c}" x2="{x:.3f}" y2="{y:.3f}" {stroke}'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def perfbench_pool():
     """The PV cubics and quartics of perfbench/workloads.pisot_pool()."""
     path = str(Path(__file__).parents[1] / "perfbench")
@@ -449,3 +476,17 @@ class TestExports:
         svg = roots_of_unity(5).to_svg()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+    @pytest.mark.parametrize("mode", ["petals", "cusp"])
+    @pytest.mark.parametrize("angles", [
+        AngleList(()), AngleList((1.0,)), roots_of_unity(2), roots_of_unity(7),
+        roots_of_unity(1000), cusp_curve(GOLDEN, 180),
+        substitution_spacing(FIBONACCI_SUBST, 1.25, 4.5, 500),
+    ], ids=["empty", "one", "roots-2", "roots-7", "roots-1000", "golden-cusps-180", "drive-500"])
+    def test_svg_equals_the_per_angle_reference(self, angles, mode):
+        assert angles.to_svg(mode=mode) == svg_per_angle(angles, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["cusps", "nonsense", "", "Petals"])
+    def test_svg_refuses_an_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="unknown SVG mode"):
+            roots_of_unity(5).to_svg(mode=mode)

@@ -8,8 +8,8 @@ from itertools import islice, product
 import pytest
 
 import pisotdyn.quantum as quantum
-from pisotdyn.algebraic import normalized_iterates
-from pisotdyn.geometry import _driven_angles
+from pisotdyn.algebraic import IntMatrix, normalized_iterates
+from pisotdyn.geometry import TWO_PI, _driven_angles, substitution_spacing
 from pisotdyn.quantum import (
     QuantumState,
     apply_first_kind,
@@ -26,6 +26,7 @@ from pisotdyn.substitution import (
     PELL_SUBST,
     Substitution,
     apply,
+    fixed_point_prefix,
     incidence_matrix,
     iterate,
 )
@@ -316,14 +317,44 @@ class TestSimulation:
         assert run.angles.angles == angles and run.outcomes == outcomes
         self.assert_every_p0_is_the_full_step_value(monkeypatch, sigma, 20_000)
 
-    def test_alternating_iterates_stop_early(self):
+    def test_alternating_iterates_repeat_their_cycle(self, monkeypatch):
+        # the generator repeats the 2-cycle it reached without computing
+        # another product, and it never ends
         m = incidence_matrix(Substitution.from_rules(BINARY, self.ALTERNATING))
-        iterates = list(islice(normalized_iterates(m, (1.0, 0.0)), 10**5))
-        assert len(iterates) <= 64
-        assert iterates[-1] == iterates[-3] != iterates[-2]
+        assert m == IntMatrix(((2, 2), (1, 0)))
+        reference, v = [], (1.0, 0.0)
+        for _ in range(10**5):
+            w = m.apply(v)
+            s = math.sqrt(sum(x * x for x in w))
+            v = tuple(x / s for x in w)
+            reference.append(v)
+        products = []
+        apply = IntMatrix.apply
+        monkeypatch.setattr(IntMatrix, "apply", lambda self, v: products.append(v) or apply(self, v))
+        assert list(islice(normalized_iterates(m, (1.0, 0.0)), 10**5)) == reference
+        assert len(products) <= 64
 
     def test_manifest(self):
         run = quantum_spacing_simulate(FIBONACCI_SUBST, 1.0, 2.0, 10, 1)
         m = run.manifest
         assert m["schema"] == 1 and m["seed"] == 1 and m["N"] == 10
         assert "substitution" in m
+
+
+@pytest.mark.parametrize("beta0", [-1e-20, -0.5, 7.0, TWO_PI, -TWO_PI])
+def test_the_walk_reduces_beta_once(beta0):
+    # the walk reduces each beta mod 2*pi, so both spacing procedures turn
+    # by the same reduced angles; -1e-20 reduces to 2*pi itself
+    run = quantum_spacing_simulate(FIBONACCI_SUBST, beta0, 0.5, 2000, 1)
+    assert run.angles == _driven_angles(run.outcomes, beta0 % TWO_PI, 0.5)
+    # substitution_spacing reduced both betas itself when either lay
+    # outside [0, 2*pi), then stepped theta = (theta + beta) mod 2*pi
+    b0, b1 = beta0, 0.5
+    if not (0.0 <= b0 < TWO_PI and 0.0 <= b1 < TWO_PI):
+        b0 %= TWO_PI
+        b1 %= TWO_PI
+    expected, theta = [], 0.0
+    for d in fixed_point_prefix(FIBONACCI_SUBST, 0, 2000).prefix(2000).letters:
+        theta = (theta + (b0 if d == 0 else b1)) % TWO_PI
+        expected.append(theta)
+    assert substitution_spacing(FIBONACCI_SUBST, beta0, 0.5, 2000).angles == tuple(expected)

@@ -109,3 +109,33 @@ def test_cantor_digit_loops_are_integer():
             if isinstance(node, ast.Name) and node.id == "Fraction"
             or isinstance(node, ast.Attribute) and ast.unparse(node) == "math.floor"]
     assert not hits, f"crystal.py: Fraction or math.floor in the loops on lines {hits}"
+
+
+def test_the_power_iteration_repeats_its_own_cycle():
+    # normalized_iterates repeats the float 2-cycle it reaches: no reader of
+    # the iterates pads or rebuilds it
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    imports = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.alias) and node.name == "cycle"]
+    assert imports == ["algebraic.py"]
+    uses = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "cycle"
+            or isinstance(node, ast.Attribute) and node.attr == "cycle"]
+    (iterates,) = [node for node in trees["algebraic.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "normalized_iterates"]
+    inside = set(map(id, ast.walk(iterates)))
+    outside = [(name, node.lineno) for name, node in uses if id(node) not in inside]
+    assert uses and not outside, f"cycle used outside normalized_iterates: {outside}"
+
+
+@pytest.mark.parametrize("module, name", [("geometry.py", "substitution_spacing"),
+                                          ("quantum.py", "quantum_spacing_simulate")])
+def test_the_walk_alone_reduces_beta(module, name):
+    # geometry._driven_angles reduces beta0 and beta1 once; the spacing
+    # procedures that call it do no arithmetic mod 2*pi
+    tree = ast.parse((ROOT / "src" / "pisotdyn" / module).read_text())
+    (function,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    hits = [node.lineno for node in ast.walk(function)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)]
+    assert not hits, f"{module}: % in {name} on lines {hits}"
