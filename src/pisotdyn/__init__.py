@@ -37,7 +37,6 @@ from .geometry import (
     cyclotomic_sum,
     diagonal_polygon,
     gap_statistics,
-    geodesic_distance,
     roots_of_unity,
     substitution_spacing,
 )
@@ -68,12 +67,10 @@ from .words import (
     Word,
     complexity,
     complexity_profile,
-    concat,
     empirical_frequencies,
     entropy_estimate,
     factors,
     morse_hedlund_witness,
-    occurrences,
     sturmian_check,
 )
 

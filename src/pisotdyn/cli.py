@@ -191,15 +191,15 @@ def pv(args):
 # ---------------------------------------------------------------------------
 def hiller(args):
     """Hiller's crystallographic-order function."""
+    if [args.n, args.table, args.allowed].count(None) != 2:
+        raise UsageError("give N, --table N or --allowed D")
     if args.table is not None:
         lines = ["n Hil(n)"] + [f"{k} {h}" for k, h in crystal.hiller_table(args.table)]
         return "\n".join(lines) + "\n"
     if args.allowed is not None:
         orders = sorted(crystal.allowed_orders(args.allowed, args.n_max))
         return json.dumps({"schema": 1, "dimension": args.allowed, "orders": orders})
-    if args.n is not None:
-        return str(crystal.hiller(args.n))
-    raise UsageError("give N, --table N or --allowed D")
+    return str(crystal.hiller(args.n))
 
 
 # ---------------------------------------------------------------------------

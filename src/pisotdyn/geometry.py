@@ -82,14 +82,6 @@ def _format_rows(row: str, n: int, *columns) -> str:
     return "".join(out)
 
 
-def geodesic_distance(a: float, b: float) -> float:
-    """Shortest arc between two angles: min(|d|, 2*pi - |d|), in [0, pi]."""
-    if not (0.0 <= a < TWO_PI and 0.0 <= b < TWO_PI):
-        raise ValueError("angles must lie in [0, 2*pi)")
-    d = abs(a - b)
-    return min(d, TWO_PI - d)
-
-
 def roots_of_unity(n: int) -> AngleList:
     """Angles 2*pi*k/n for k = 1..n (with 2*pi wrapped to 0)."""
     if n < 2:

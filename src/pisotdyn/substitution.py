@@ -84,21 +84,12 @@ class Substitution(Record):
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """self after other: (self.compose(other))(a) = self(other(a))."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        return Substitution(
-            self.alphabet, tuple(apply(self, w) for w in other.rules)
-        )
-
     def power(self, k: int) -> "Substitution":
+        """sigma^k, whose image of each letter c is iterate(self, c, k)."""
         if k < 1:
             raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = self.compose(out)
-        return out
+        letters = range(self.alphabet.size)
+        return Substitution(self.alphabet, tuple(iterate(self, c, k) for c in letters))
 
 
 def _images(sigma: Substitution) -> tuple:

@@ -20,10 +20,6 @@ from .record import Record
 MAX_ALPHABET_SIZE = 256  # one byte per letter
 
 
-class AlphabetMismatchError(ValueError):
-    pass
-
-
 class Alphabet(Record):
     """Ordered distinct printable tokens; lex(a) is the position."""
 
@@ -119,21 +115,6 @@ class Word(Record):
 
     def tokens(self):
         return list(map(self.alphabet.symbols.__getitem__, self.letters))
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    if w1.alphabet != w2.alphabet:
-        raise AlphabetMismatchError("words over different alphabets")
-    return Word(w1.alphabet, w1.letters + w2.letters)
-
-
-def occurrences(haystack: Word, needle: Word) -> int:
-    """Occurrence count of needle in haystack, overlaps included."""
-    if len(needle) == 0:
-        raise ValueError("needle must be nonempty")
-    h, m = haystack.letters, needle.letters
-    k = len(m)
-    return sum(1 for i in range(len(h) - k + 1) if h[i : i + k] == m)
 
 
 def factors(prefix: Word, n: int) -> set:

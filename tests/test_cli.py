@@ -316,6 +316,9 @@ MALFORMED = [
     (["spacing", "drive", "--spec", "{fib}", "-n", "0"], 1),
     (["hiller", "--table", "0"], 1),
     (["hiller", "--table", "-1"], 1),
+    (["hiller", "5", "--table", "3"], 2),
+    (["hiller", "--table", "3", "--allowed", "2"], 2),
+    (["hiller", "7", "--allowed", "1"], 2),
 ]
 
 

@@ -21,7 +21,6 @@ from pisotdyn.geometry import (
     diagonal_polygon,
     fmt12,
     gap_statistics,
-    geodesic_distance,
     roots_of_unity,
     substitution_spacing,
 )
@@ -97,21 +96,6 @@ ORACLE_CASES = {
     for p, big_k in [(GOLDEN, 200), (SILVER, 200), (PLASTIC, 200), (TRIBONACCI, 200)]
     + [(p, 200) for p in perfbench_pool()] + [(GOLDEN, 1000), (SILVER, 1000)]
 }
-
-
-class TestGeodesic:
-    def test_quarter(self):
-        assert geodesic_distance(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
-
-    def test_wraparound(self):
-        assert geodesic_distance(0.0, 3 * math.pi / 2) == pytest.approx(math.pi / 2)
-
-    def test_identity(self):
-        assert geodesic_distance(0.1, 0.1) == 0.0
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            geodesic_distance(-0.1, 0.0)
 
 
 class TestRootsOfUnity:

@@ -93,6 +93,40 @@ def test_letter_outside_the_alphabet_is_refused(call):
     with pytest.raises(ValueError, match="letter index out of range"):
         call()
 
+
+def power_by_composition(sigma: Substitution, k: int) -> Substitution:
+    """The reference for Substitution.power: sigma composed with itself
+    k - 1 times, one application of sigma to every image per step."""
+    out = sigma
+    for _ in range(k - 1):
+        out = Substitution(sigma.alphabet, tuple(apply(sigma, w) for w in out.rules))
+    return out
+
+
+class TestPower:
+    def test_power_equals_repeated_composition(self):
+        not_primitive = Substitution.from_rules(TERNARY, {"0": "01", "1": "1", "2": "20"})
+        assert not is_primitive(incidence_matrix(not_primitive))
+        assert len(FIBONACCI_SUBST.rules[1]) == 1  # a one-letter image
+        rng = random.Random(27)
+        subs = [FIBONACCI_SUBST, not_primitive]
+        for _ in range(200):
+            ab = Alphabet(tuple(str(i) for i in range(rng.randint(2, 6))))
+            rules = {
+                s: "".join(str(rng.randrange(ab.size)) for _ in range(rng.randint(1, 3)))
+                for s in ab.symbols
+            }
+            subs.append(Substitution.from_rules(ab, rules))
+        for sigma in subs:
+            for k in range(1, 7):
+                assert sigma.power(k) == power_by_composition(sigma, k), (sigma.to_json(), k)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_below_one_is_refused(self, k):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            FIBONACCI_SUBST.power(k)
+
+
 class TestIncidenceMatrix:
     def test_named_matrices(self):
         assert incidence_matrix(FIBONACCI_SUBST).entries == ((1, 1), (1, 0))
@@ -121,7 +155,7 @@ class TestIncidenceMatrix:
             a, n = m.entries, len(m.entries)
             square = tuple(tuple(sum(a[i][k] * a[k][j] for k in range(n)) for j in range(n))
                            for i in range(n))
-            assert incidence_matrix(s.compose(s)).entries == square
+            assert incidence_matrix(s.power(2)).entries == square
 
 
 class TestFixedPoint:

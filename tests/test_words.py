@@ -16,12 +16,10 @@ from pisotdyn.words import (
     complexity,
     complexity_bruteforce,
     complexity_profile,
-    concat,
     empirical_frequencies,
     entropy_estimate,
     factors,
     morse_hedlund_witness,
-    occurrences,
     sturmian_check,
 )
 
@@ -98,37 +96,6 @@ class TestWordInput:
         multi = Alphabet(("aa", "b"))
         assert str(Word(multi, (1, 0))) == "b,aa"
         assert Word(multi, (1, 0)).tokens() == ["b", "aa"]
-
-
-class TestConcat:
-    def test_paper_listing(self):
-        assert str(concat(w("01"), w("0"))) == "010"
-
-    def test_identity(self):
-        empty = Word(BINARY, ())
-        assert tuple(concat(w("01"), empty).letters) == (0, 1)
-
-    def test_direct(self):
-        assert str(concat(w("0"), w("01001"))) == "001001"
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            concat(w("0"), Alphabet(("a", "b")).word("a"))
-
-
-class TestOccurrences:
-    def test_fibonacci_count(self):
-        assert occurrences(w("01001"), w("0")) == 3
-
-    def test_self(self):
-        assert occurrences(w("01001"), w("01001")) == 1
-
-    def test_overlaps(self):
-        assert occurrences(w("0000"), w("00")) == 3
-
-    def test_empty_needle(self):
-        with pytest.raises(ValueError):
-            occurrences(w("01"), Word(BINARY, ()))
 
 
 class TestFactors:

@@ -10,10 +10,11 @@ bytecode cached as an installed script has them.  Prints every call whose
 exit code, stdout or stderr differs, with the keys whose values differ when
 both stdouts are JSON objects, and exits 1 if any call differs.
 
-It also prints, per workload, the wall time of the calls summed on REV and
-on this tree, and how many calls ran faster here: a coarse signal from one
-interleaved run of each call, not a measurement; speed claims come from
-perfbench/run.py.
+It also prints, per workload, the wall time and the child CPU time of the
+calls summed on REV and on this tree, and how many calls ran faster here.
+The tree that runs first alternates from call to call, so neither gets the
+warmer cache.  This is a coarse signal from one interleaved run of each
+call, not a measurement; speed claims come from perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -33,16 +35,22 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
+def child_cpu() -> float:
+    """User plus system CPU seconds of every finished child so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(tree: Path, argv, work: Path):
-    """((exit code, stdout, stderr), wall seconds) of one CLI call on the
-    sources of tree."""
+    """((exit code, stdout, stderr), (wall seconds, child CPU seconds)) of
+    one CLI call on the sources of tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name in ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE"):
         env.pop(name, None)
-    start = time.perf_counter()
+    cpu, start = child_cpu(), time.perf_counter()
     r = subprocess.run([sys.executable, "-m", "pisotdyn.cli", *argv], cwd=work, env=env,
                        capture_output=True)
-    return (r.returncode, r.stdout, r.stderr), time.perf_counter() - start
+    return (r.returncode, r.stdout, r.stderr), (time.perf_counter() - start, child_cpu() - cpu)
 
 
 def changed_keys(want: bytes, got: bytes) -> list:
@@ -76,7 +84,7 @@ def main(argv=None) -> int:
                                  stdout=subprocess.PIPE, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         for name in sorted(workloads.WORKLOADS):
-            times = []  # (seconds on REV, seconds here) per call
+            times = []  # ((wall, CPU) on REV, (wall, CPU) here) per call
             for seed in args.seeds:
                 work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
@@ -85,8 +93,9 @@ def main(argv=None) -> int:
                     spec = {"alphabet": sorted(rules), "rules": rules}
                     (work / f"{stem}.json").write_text(json.dumps(spec))
                 for call in pass_calls:
-                    (want, want_t), (got, got_t) = (run(parent, call.argv, work),
-                                                    run(ROOT, call.argv, work))
+                    order = (ROOT, parent) if calls % 2 else (parent, ROOT)  # alternate
+                    results = {tree: run(tree, call.argv, work) for tree in order}
+                    (want, want_t), (got, got_t) = results[parent], results[ROOT]
                     calls += 1
                     times.append((want_t, got_t))
                     if got != want:
@@ -98,9 +107,10 @@ def main(argv=None) -> int:
                             fields[fields.index("stdout")] += f" (keys: {', '.join(keys)})"
                         print(f"{name} seed {seed}: {call.label}: {', '.join(fields)} differ "
                               f"(exit {want[0]} -> {got[0]})")
-            want_s, got_s = map(sum, zip(*times))
-            faster = sum(g < w for w, g in times)
-            print(f"{name}: calls took {want_s:.2f} s on {args.parent} and {got_s:.2f} s here; "
+            (want_s, want_cpu), (got_s, got_cpu) = (map(sum, zip(*t)) for t in zip(*times))
+            faster = sum(g[0] < w[0] for w, g in times)
+            print(f"{name}: calls took {want_s:.2f} s wall, {want_cpu:.2f} s CPU on {args.parent} "
+                  f"and {got_s:.2f} s wall, {got_cpu:.2f} s CPU here; "
                   f"{faster} of {len(times)} faster here (coarse: one run of each)")
     print(f"{calls} calls, {mismatched} mismatched")
     return 1 if mismatched else 0
