@@ -69,7 +69,6 @@ from .words import (
     complexity_profile,
     empirical_frequencies,
     entropy_estimate,
-    factors,
     morse_hedlund_witness,
     sturmian_check,
 )

@@ -381,8 +381,8 @@ def schur_cohn(p: IntPolynomial) -> RootCount:
     """Exact counts of roots with |z| < 1, = 1, > 1.
 
     Requires a squarefree polynomial; deflate with squarefree_part first.
-    The roots at 0 and +-1 are stripped, then one Moebius map sends the
-    disk to the left half-plane and the circle to the imaginary axis.
+    The roots at +-1 are stripped, then one Moebius map sends the disk to
+    the left half-plane and the circle to the imaginary axis.
     """
     if not p.is_squarefree():
         raise NotSquarefreeError("schur_cohn requires a squarefree polynomial")
@@ -394,15 +394,13 @@ def _schur_cohn(p: IntPolynomial) -> RootCount:
     if p.degree == 0:
         return RootCount(0, 0, 0)
     c = p.coefficients
-    inside = on = 0
-    # squarefree: 0, 1 and -1 are at most simple roots
-    if c[0] == 0:
-        inside, c = 1, _pexact_div(c, (0, 1))
+    on = 0
+    # squarefree: +-1 are simple roots at most; z = 0 maps to w = -1, inside
     for r in (1, -1):
         if _peval(c, r) == 0:
             on, c = on + 1, _pexact_div(c, (-r, 1))
-    lhp, axis = _count_lhp(_moebius(c))
-    inside, on = inside + lhp, on + axis
+    inside, axis = _count_lhp(_moebius(c))
+    on += axis
     return RootCount(inside=inside, on_circle=on, outside=p.degree - inside - on)
 
 
@@ -597,9 +595,10 @@ class RootLayout(Record):
     lam: the interval of lambda when p has one simple real root lambda > 1
     and every other root in the open unit disk, else None.
     pv: lam is not None and p(0) != 0.
+    sf: p's squarefree part, whose roots the counts count.
     """
 
-    __slots__ = _fields = ("counts", "lam", "pv")
+    __slots__ = _fields = ("counts", "lam", "pv", "sf")
 
 
 def root_layout(p: IntPolynomial) -> RootLayout:
@@ -623,7 +622,7 @@ def root_layout(p: IntPolynomial) -> RootLayout:
     if (counts.outside == 1 and counts.on_circle == 0 and sf(1) < 0
             and p.coefficients == (0,) * (p.degree - sf.degree) + sf.coefficients):
         lam = RootBracket(sf, 1, sf.cauchy_bound()).bisect(_LAMBDA_WIDTH).approx()
-    return RootLayout(counts, lam, lam is not None and p.coefficients[0] != 0)
+    return RootLayout(counts, lam, lam is not None and p.coefficients[0] != 0, sf)
 
 
 def pv_verdict(p: IntPolynomial) -> str:

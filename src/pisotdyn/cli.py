@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import algebraic, crystal, geometry, quantum, words
@@ -193,11 +194,14 @@ def hiller(args):
     """Hiller's crystallographic-order function."""
     if [args.n, args.table, args.allowed].count(None) != 2:
         raise UsageError("give N, --table N or --allowed D")
+    if args.n_max is not None and args.allowed is None:
+        raise UsageError("--n-max needs --allowed D")
     if args.table is not None:
         lines = ["n Hil(n)"] + [f"{k} {h}" for k, h in crystal.hiller_table(args.table)]
         return "\n".join(lines) + "\n"
     if args.allowed is not None:
-        orders = sorted(crystal.allowed_orders(args.allowed, args.n_max))
+        n_max = 36 if args.n_max is None else args.n_max
+        orders = sorted(crystal.allowed_orders(args.allowed, n_max))
         return json.dumps({"schema": 1, "dimension": args.allowed, "orders": orders})
     return str(crystal.hiller(args.n))
 
@@ -224,17 +228,8 @@ def cantor(args):
         v = crystal.numeric_value(ab, ab.word(args.raw_word))
     else:
         v = crystal.cantor_function_value(spec, ab.word(args.raw_word))
-    # from Python 3.10.7 on, an int past 4,300 digits prints only with the
-    # limit lifted (set to 0), here for this one print; earlier versions
-    # have no limit, read as int() == 0
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return f"{v.numerator}/{v.denominator}"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # Decimal converts an int of any length: str stops at 4,300 digits
+    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +321,7 @@ def _parser(prog: str):
     p.add_argument("n", nargs="?", type=int)
     p.add_argument("--table", type=int, help="print the table up to N")
     p.add_argument("--allowed", type=int, help="orders allowed in dimension d")
-    p.add_argument("--n-max", type=int, default=36)
+    p.add_argument("--n-max", type=int)
 
     p = command(cantor)
     p.add_argument("action", choices=("dim", "value", "represent", "function"))

@@ -111,8 +111,6 @@ def hiller(n: int) -> int:
     prime power 2 itself; Hil(1) = Hil(2) = 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n in (1, 2):
-        return 0
     total = 0
     for p, a in factorize(n):
         if p == 2 and a == 1:
@@ -225,8 +223,6 @@ def cantor_function_value(spec: CantorSpec, prefix: Word) -> Fraction:
         )
     elif prefix.alphabet != bsub:
         raise ValueError("prefix over an unrelated alphabet")
-    if len(prefix) == 0:
-        raise ValueError("empty prefix")
     nb = bsub.size
     return numeric_value(bsub, prefix) + Fraction(nb, nb ** (len(prefix) + 1))
 

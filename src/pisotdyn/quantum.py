@@ -13,7 +13,7 @@ from .algebraic import IntMatrix, is_primitive, normalized_iterates
 from .geometry import AngleList, _driven_angles
 from .record import Record
 from .substitution import Substitution, apply, classify_pisot, incidence_matrix
-from .words import Alphabet, Word, complexity
+from .words import Alphabet, Word, complexity, entropy_from_count
 
 SUPPORT_CAP = 2**20
 
@@ -78,8 +78,7 @@ def quantum_complexity(psi: QuantumState, n: int) -> float:
 
 def quantum_entropy_estimate(psi: QuantumState, n: int) -> float:
     base = psi.amplitudes[0][0].alphabet.size
-    qc = quantum_complexity(psi, n)
-    return math.log(qc, base) / n
+    return entropy_from_count(quantum_complexity(psi, n), base, n)
 
 
 # ---------------------------------------------------------------------------

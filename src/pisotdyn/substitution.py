@@ -12,6 +12,7 @@ from .algebraic import (
     IntPolynomial,
     RealApprox,
     RootBracket,
+    RootLayout,
     _conjugate_modulus_bound,
     _faddeev_leverrier,
     _irreducible,
@@ -269,19 +270,19 @@ class PisotReport(Record):
         }
 
 
-def _letter_frequencies(column: list, p: IntPolynomial, lam: RealApprox | None) -> tuple:
+def _letter_frequencies(column: list, p: IntPolynomial, layout: RootLayout) -> tuple:
     """The Perron vector of a primitive M over its sum, each entry the
     correctly rounded float.
 
     Column 0 of adj(xI - M) is sum_k x^(d-1-k) b_k, b_k column 0 of the
-    Faddeev-LeVerrier B_k: at the simple root lambda (bracketed by lam, else
-    as the largest real root of p's squarefree part) a positive multiple of
-    the Perron vector.  Each entry is bounded at the P-bit ends, positive
-    terms at one end and negative at the other, for P = 64, 128, ... until
-    the two quotients of each entry's bounds round to one float."""
+    Faddeev-LeVerrier B_k: at the simple root lambda (bracketed by
+    layout.lam, else as the largest real root of layout.sf) a positive
+    multiple of the Perron vector.  Each entry is bounded at the P-bit ends,
+    positive terms at one end and negative at the other, for P = 64, 128,
+    ... until the two quotients of each entry's bounds round to one float."""
     d = len(column)
     rows = [[(k, b) for k, b in enumerate(row) if b] for row in zip(*column)]
-    lam = lam or dominant_root_interval(p.squarefree_part())
+    lam = layout.lam or dominant_root_interval(layout.sf)
     for bits, x_lo, x_hi in RootBracket(p, lam.lower, lam.upper).mantissas(64):
         # 2^(bits (d-1)) x^(d-1-k) at each end x / 2^bits, by k
         ends = [[x ** (d - 1 - k) << bits * k for k in range(d)] for x in (x_lo, x_hi)]
@@ -313,7 +314,7 @@ def classify_pisot(sigma: Substitution) -> PisotReport:
         irreducible=_irreducible(p, layout.counts),
         pisot_loose=layout.lam is not None,
         pisot_strict=layout.pv,
-        frequencies=_letter_frequencies(column, p, layout.lam) if primitive else (),
+        frequencies=_letter_frequencies(column, p, layout) if primitive else (),
     )
 
 

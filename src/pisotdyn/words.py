@@ -117,14 +117,6 @@ class Word(Record):
         return list(map(self.alphabet.symbols.__getitem__, self.letters))
 
 
-def factors(prefix: Word, n: int) -> set:
-    """The set of distinct length-n factors, as Words."""
-    if not 1 <= n <= len(prefix):
-        raise ValueError("factor length out of range")
-    seen = {prefix.letters[i : i + n] for i in range(len(prefix) - n + 1)}
-    return {Word(prefix.alphabet, t) for t in seen}
-
-
 def complexity_bruteforce(prefix: Word, n: int) -> int:
     if not 1 <= n <= len(prefix):
         raise ValueError("factor length out of range")
@@ -133,8 +125,6 @@ def complexity_bruteforce(prefix: Word, n: int) -> int:
 
 def complexity(prefix: Word, n: int) -> int:
     """p_n of the prefix, exact (suffix automaton)."""
-    if not 1 <= n <= len(prefix):
-        raise ValueError("factor length out of range")
     return complexity_profile(prefix, n).values[-1]
 
 

@@ -432,6 +432,24 @@ class TestMoebiusCounts:
                 assert [c.inside, c.on_circle, c.outside] == expected, coeffs
                 checked += 1
 
+    def test_a_root_at_zero_is_counted_inside(self):
+        # z = 0 maps to w = -1, in the left half-plane: z q has one more root
+        # inside than q, and the same ones on and outside the circle
+        rng = random.Random(7)
+        checked = 0
+        while checked < 2000:
+            c = [rng.randint(-6, 6) for _ in range(rng.randint(1, 9))] + [rng.choice((1, -1, 2))]
+            if c[0] == 0:
+                continue
+            for r in rng.sample((1, -1), rng.randint(0, 2)):  # roots at +-1 too
+                c = list(_mul(c, (-r, 1)))
+            q = IntPolynomial(tuple(c))
+            if not q.is_squarefree():
+                continue
+            a, b = schur_cohn(q), schur_cohn(IntPolynomial((0,) + q.coefficients))
+            assert (b.inside, b.on_circle, b.outside) == (a.inside + 1, a.on_circle, a.outside), c
+            checked += 1
+
 
 def _binomial_moebius(c):
     """q(w) = sum_k c_k (1 + w)^k (1 - w)^(n - k), expanded term by term:
@@ -1111,6 +1129,15 @@ class TestDecideOnce:
         # the bound takes the squarefree part off the layout, with no gcd
         assert report.to_dict()["conjugate_moduli_bound"] < 1
         assert len(gcds) == 1 and len(moebius_calls) == 41
+        # primitive, not Pisot: p = (x - 2)(x + 1)^2, and the frequencies
+        # bracket lambda on the layout's squarefree part, with no second gcd
+        gcds.clear()
+        spec = {"alphabet": ["0", "1", "2"], "rules": {"0": "12", "1": "00", "2": "01"}}
+        report = classify_pisot(Substitution.from_json(json.dumps(spec)))
+        assert report.primitive and not report.pisot_loose
+        assert report.char_poly == IntPolynomial((-2, -3, 0, 1))
+        assert report.frequencies == (4 / 9, 3 / 9, 2 / 9)
+        assert len(gcds) == 1
 
     def test_conjugate_moduli_bound_with_a_repeated_root_at_zero(self, monkeypatch):
         # p = z^2 (z^2 - z - 1), whose squarefree part is z (z^2 - z - 1):

@@ -319,6 +319,8 @@ MALFORMED = [
     (["hiller", "5", "--table", "3"], 2),
     (["hiller", "--table", "3", "--allowed", "2"], 2),
     (["hiller", "7", "--allowed", "1"], 2),
+    (["hiller", "5", "--n-max", "6"], 2),
+    (["hiller", "--table", "2", "--n-max", "6"], 2),
 ]
 
 

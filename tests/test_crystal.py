@@ -375,6 +375,13 @@ class TestCantorFunction:
         with pytest.raises(ValueError):
             cantor_function_value(MIDDLE_THIRD, TERNARY.word("010"))
 
+    @pytest.mark.parametrize("alphabet", [TERNARY, MIDDLE_THIRD.sub_alphabet],
+                             ids=["over A", "over B"])
+    def test_empty_word_rejected(self, alphabet):
+        # numeric_value owns the check, and the Cantor function keeps its message
+        with pytest.raises(ValueError, match="^empty prefix$"):
+            cantor_function_value(MIDDLE_THIRD, Word(alphabet, ()))
+
     def test_plateau(self):
         # every x in the removed middle interval shares the staircase value
         vals = {

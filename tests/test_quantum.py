@@ -30,7 +30,7 @@ from pisotdyn.substitution import (
     incidence_matrix,
     iterate,
 )
-from pisotdyn.words import BINARY, Alphabet, Word, complexity
+from pisotdyn.words import BINARY, Alphabet, Word, complexity, entropy_estimate
 
 TAU = (1 + math.sqrt(5)) / 2
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -149,6 +149,8 @@ class TestQuantumComplexity:
         psi = basis_state(w)
         for n in (1, 3, 7):
             assert quantum_complexity(psi, n) == complexity(w, n)
+        for n in range(1, 8):
+            assert quantum_entropy_estimate(psi, n) == entropy_estimate(w, n), n
 
     def test_weighted_average(self):
         w1 = BINARY.word("010010100100101")  # p_5 = 6 (Sturmian-ish prefix)

@@ -28,7 +28,8 @@ RECORDS = [
     (IntPolynomial, ((-1, -1, 1),)),
     (IntMatrix, (((1, 1), (1, 0)),)),
     (RootCount, (1, 0, 1)),
-    (RootLayout, (RootCount(1, 0, 1), RealApprox(Fraction(1), Fraction(2)), True)),
+    (RootLayout, (RootCount(1, 0, 1), RealApprox(Fraction(1), Fraction(2)), True,
+                  IntPolynomial((-1, -1, 1)))),
     (RealApprox, (Fraction(1), Fraction(2))),
     (Recurrence, ((1, 1), (0, 1))),
     (Alphabet, (("0", "1"),)),

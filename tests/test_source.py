@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -52,6 +53,35 @@ def test_private_definitions_are_used():
         and not any(node.name in _names_outside(other, node) for other in trees.values())
     ]
     assert not unused, f"unreferenced private definitions: {unused}"
+
+
+def test_exported_names_are_used():
+    # a name that pisotdyn exports is dead unless README's code, the
+    # acceptance tests or a package module other than __init__ names it
+    # outside its own definition
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    exported = [alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    named = set(re.findall(r"\w+", " ".join(spans)))
+    named.update(_names_outside(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()), None))
+
+    def used(name, tree):
+        own = next((node for node in tree.body if getattr(node, "name", None) == name), None)
+        return name in _names_outside(tree, own)
+
+    dead = [name for name in exported
+            if name not in named and not any(used(name, tree) for tree in trees.values())]
+    assert not dead, f"exported names that nothing uses: {dead}"
+
+
+def test_no_module_changes_the_int_digit_limit():
+    # cantor prints long fractions through Decimal, which converts an int
+    # of any length: no module changes the interpreter's state to print
+    hits = [f"{path.name}:{node.lineno}" for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "set_int_max_str_digits"]
+    assert not hits, f"set_int_max_str_digits called at {hits}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

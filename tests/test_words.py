@@ -18,7 +18,6 @@ from pisotdyn.words import (
     complexity_profile,
     empirical_frequencies,
     entropy_estimate,
-    factors,
     morse_hedlund_witness,
     sturmian_check,
 )
@@ -98,27 +97,18 @@ class TestWordInput:
         assert Word(multi, (1, 0)).tokens() == ["b", "aa"]
 
 
-class TestFactors:
-    def test_windows(self):
-        assert {str(f) for f in factors(w("010"), 2)} == {"01", "10"}
-
-    def test_constant(self):
-        assert {str(f) for f in factors(w("000"), 1)} == {"0"}
-
-    def test_length_three(self):
-        assert {str(f) for f in factors(w("01001"), 3)} == {"010", "100", "001"}
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            factors(w("01"), 3)
-
-
 class TestComplexity:
     def test_constant(self):
         assert complexity(w("0" * 50), 7) == 1
 
     def test_both_letters(self):
         assert complexity(w("0110"), 1) == 2
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_length_out_of_range(self, n):
+        # the profile owns the range check, and complexity keeps its message
+        with pytest.raises(ValueError, match="^factor length out of range$"):
+            complexity(w("0110"), n)
 
     def test_matches_bruteforce_small(self):
         word = w("01001010010010100101")
